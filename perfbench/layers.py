@@ -20,20 +20,26 @@ def load_layer_map() -> dict:
         return json.load(fh)
 
 
-def install(tracer, mods: dict, captured: list):
-    """Wrap pugraph's public functions; `captured` collects the dataset and
-    returned parameters of every train() call."""
-    data, graph, nn = mods["data"], mods["graph"], mods["nn"]
-    losses, train, evaluate = mods["losses"], mods["train"], mods["evaluate"]
+def keep_runs(tracer, owners: list, captured: list):
+    """Wrap `train` on `owners`; `captured` collects the dataset and returned
+    parameters of every call."""
 
     def keep_run(args, result):
         captured.append((args[0], result[0]))
         return {"epochs": args[1].epochs, "records": result[1]}
 
+    tracer.wrap(owners, "train", "train.train", annotate=keep_run)
+
+
+def install(tracer, mods: dict, captured: list):
+    """Wrap pugraph's public functions; `captured` collects the dataset and
+    returned parameters of every train() call."""
+    data, graph, nn = mods["data"], mods["graph"], mods["nn"]
+    losses, train, evaluate = mods["losses"], mods["train"], mods["evaluate"]
     wrap = tracer.wrap
     wrap([data, evaluate], "build_dataset", "data.build_dataset")
     wrap([data], "load_source", "data.load_source")
-    wrap([data, graph], "generate_sbm", "graph.generate_sbm", rss=True)
+    wrap([data, graph], "generate_sbm", "graph.generate_sbm", memory=True)
     wrap([data, graph], "build_graph", "graph.build_graph")
     wrap([data, graph], "partition_unlabeled", "graph.partition_unlabeled")
     wrap([graph, train, evaluate], "normalize_adjacency", "graph.normalize_adjacency")
@@ -47,7 +53,7 @@ def install(tracer, mods: dict, captured: list):
     wrap([train.NegativeSampler], "edge_negatives", "train.sampler",
          annotate=lambda a, r: {"draws": int(r.size)})
     wrap([train.Adam], "step", "train.adam")
-    wrap([train, evaluate], "train", "train.train", annotate=keep_run)
+    keep_runs(tracer, [train, evaluate], captured)
     wrap([evaluate], "run_single", "evaluate.cell",
          annotate=lambda a, r: {"method": a[1], "macro_f1": r.macro_f1})
 
@@ -116,8 +122,8 @@ def layer_metrics(tracer, hidden_dim: int) -> tuple[dict, dict, dict]:
     total("data.build_dataset.s", "data.build_dataset")
 
     ids = total("graph.generate_sbm.s", "graph.generate_sbm")
-    put("graph.generate_sbm.rss_mb",
-        max((spans[i].attrs["rss_rise_mb"] for i in ids), default=0.0), ids)
+    put("graph.generate_sbm.alloc_mb",
+        max((spans[i].attrs["alloc_peak_mb"] for i in ids), default=0.0), ids)
     total("graph.build_graph.s", "graph.build_graph")
     total("graph.partition_unlabeled.s", "graph.partition_unlabeled")
     total("graph.normalize_adjacency.s", "graph.normalize_adjacency")

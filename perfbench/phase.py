@@ -1,17 +1,13 @@
-"""One phase of one benchmark workload, run in a fresh process.
+"""The two phases of one benchmark run, in the calling process.
 
-    python3 perfbench/phase.py SPEC_JSON_PATH
-
-The spec holds the workload name, its run config, the time budget, the
-worker count and the mode. Mode "plain" repeats the workload untraced until
-the budget is spent; mode "traced" runs it once with the layer wrappers of
-`layers.py` installed. The last line of standard output is a JSON object
-with the phase's measurements and the problems its output checks found.
+`plain_single` and `plain_sweep` repeat a workload untraced until the time
+budget is spent; `traced` runs it once with the layer wrappers of
+`layers.py` installed. Each returns a dict with the phase's measurements
+and the problems its output checks found. The caller pins BLAS threads
+before this module imports numpy.
 """
 
-import dataclasses
 import importlib
-import json
 import math
 import os
 import resource
@@ -36,6 +32,19 @@ MODS = {name: importlib.import_module(f"pugraph.{name}")
         for name in ("data", "graph", "nn", "losses", "train", "evaluate")}
 data, graph, nn = MODS["data"], MODS["graph"], MODS["nn"]
 losses, train, evaluate = MODS["losses"], MODS["train"], MODS["evaluate"]
+
+
+def rss_mb() -> float:
+    """Current resident set size of this process, in MiB."""
+    with open("/proc/self/statm", "r", encoding="ascii") as fh:
+        pages = int(fh.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+# A forked pool worker's peak RSS counts the pages it shares with its parent
+# at the fork, so the parent's RSS is noted just before every fork.
+FORK_RSS_MB: list[float] = []
+os.register_at_fork(before=lambda: FORK_RSS_MB.append(rss_mb()))
 
 
 def _failure(exc: BaseException) -> str:
@@ -94,13 +103,6 @@ def one_run(config: dict) -> tuple[dict, object, object]:
     return unit, dataset, params
 
 
-def checked_run(config: dict) -> tuple[dict, list[str]]:
-    """one_run plus its output checks; the dataset is freed on return, so
-    repeats never hold two at once."""
-    unit, dataset, params = one_run(config)
-    return unit, check_run(dataset, params, unit["macro_f1"])
-
-
 def _more(started: float, durations: list[float], budget: float, minimum: int) -> bool:
     """Whether another repetition fits the budget (always, below `minimum`)."""
     if len(durations) < minimum:
@@ -108,14 +110,31 @@ def _more(started: float, durations: list[float], budget: float, minimum: int) -
     return time.perf_counter() - started + statistics.median(durations) <= budget
 
 
+def setup_times(config: dict, ratio: float, seed: int, delta: int,
+                repeats: int = SETUP_REPEATS) -> list[float]:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        build(config, ratio, seed, delta)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
 def plain_single(config: dict, budget: float) -> dict:
-    """Repeat one training run for the budget; every repeat uses the same seed."""
-    units, durations, failures = [], [], []
+    """Repeat one training run for the budget; every repeat uses the same seed.
+
+    Peak RSS is read after the first run, before its output checks.
+    """
+    units, durations, failures, peak = [], [], [], None
     started = time.perf_counter()
     while _more(started, durations, budget, minimum=2):
         t0 = time.perf_counter()
         try:
-            unit, problems = checked_run(config)
+            unit, dataset, params = one_run(config)
+            if peak is None:
+                peak = peak_rss_mb()
+            problems = check_run(dataset, params, unit["macro_f1"])
+            del dataset, params  # repeats never hold two datasets at once
         except Exception as exc:  # a failed run is counted, the benchmark goes on
             unit, problems = None, [_failure(exc)]
         durations.append(time.perf_counter() - t0)
@@ -134,6 +153,7 @@ def plain_single(config: dict, budget: float) -> dict:
             "train_s": statistics.median(u["train_s"] for u in units),
             "wall_s": statistics.median(u["wall_s"] for u in units),
             "macro_f1": units[0]["macro_f1"],
+            "peak_rss_mb": peak,
         }
     cells = [{"method": "pugnn", "seed": config["train"]["seed"], "macro_f1": u["macro_f1"],
               "wall_time": u["wall_s"]} for u in units[:1]]
@@ -143,21 +163,6 @@ def plain_single(config: dict, budget: float) -> dict:
             "runs": len(units), "cells": cells, "serial": serial}
 
 
-def setup_times(config: dict, ratio: float, seed: int, delta: int) -> list[float]:
-    times = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        build(config, ratio, seed, delta)
-        times.append(time.perf_counter() - t0)
-    return times
-
-
-def sweep_delta(method: str, overrides: dict) -> int:
-    """The delta `run_single` builds a cell's partition with."""
-    probe = {**evaluate.METHOD_LOSS[method], **overrides}
-    return int(probe.get("delta", losses.LossConfig.delta))
-
-
 def run_sweep(config: dict, jobs: int):
     base = train.TrainConfig(**config["train"])
     return evaluate.run_grid(config["dataset"], SWEEP_METHODS, (SWEEP_RATIO,),
@@ -165,7 +170,7 @@ def run_sweep(config: dict, jobs: int):
 
 
 def check_cells(results, test_count: int) -> list[str]:
-    """Per-cell problems, one entry per failed cell ('' if the cell is fine)."""
+    """Per-cell problems, one entry per cell ('' if the cell is fine)."""
     problems = []
     for r in results:
         if r.error is not None:
@@ -179,24 +184,27 @@ def check_cells(results, test_count: int) -> list[str]:
     return problems
 
 
-def replica_cell(config: dict, method: str, seed: int,
-                 reported_f1: float) -> tuple[float, list[str]]:
-    """Re-run one sweep cell in this process the way `run_single` does; return
-    its wall time and the problems its outputs show, including a macro-F1
-    that differs from the sweep's."""
-    overrides = dict(config["loss"])
-    t0 = time.perf_counter()
-    dataset = build(config, SWEEP_RATIO, seed, sweep_delta(method, overrides))
-    loss = evaluate.resolve_loss_config(method, overrides, dataset.positive_prior)
-    cfg = dataclasses.replace(train.TrainConfig(**config["train"]), seed=seed, loss=loss)
-    params, _ = train.train(dataset, cfg)
-    f1 = score(dataset, params)
-    wall = time.perf_counter() - t0
-    problems = check_run(dataset, params, f1)
-    if f1 != reported_f1:
-        problems.append(f"repeat of cell {method}/seed {seed} gave macro_f1 {f1!r}, "
-                        f"sweep {reported_f1!r}")
-    return wall, problems
+def repeat_cell(config: dict, cell: dict):
+    """Re-run one sweep cell in this process with `evaluate.run_single`.
+
+    Returns the result, the dataset and parameters its train() call saw
+    (captured by a wrapper) and the problems its outputs show, including a
+    macro-F1 that differs from the sweep's.
+    """
+    tracer, captured = Tracer(), []
+    layers.keep_runs(tracer, [evaluate], captured)
+    try:
+        result = evaluate.run_single(
+            config["dataset"], cell["method"], SWEEP_RATIO, cell["seed"],
+            train.TrainConfig(**config["train"]), dict(config["loss"]))
+    finally:
+        tracer.restore()
+    dataset, params = captured[0]
+    problems = check_run(dataset, params, result.macro_f1)
+    if result.macro_f1 != cell["macro_f1"]:
+        problems.append(f"repeat of cell {cell['method']}/seed {cell['seed']} gave "
+                        f"macro_f1 {result.macro_f1!r}, sweep {cell['macro_f1']!r}")
+    return result, dataset, problems
 
 
 def cell_summary(results) -> list[dict]:
@@ -204,55 +212,74 @@ def cell_summary(results) -> list[dict]:
              "wall_time": r.wall_time} for r in results]
 
 
+def sweep_peak_rss_mb(jobs: int, fork_rss: list[float]) -> float:
+    """This process's peak plus `jobs` times the largest pool worker's peak
+    above the pages it shared with this process at its fork.
+
+    The smallest RSS seen at a fork is subtracted, so this is an upper bound
+    on the memory the sweep held at once.
+    """
+    children = peak_rss_mb(resource.RUSAGE_CHILDREN)
+    shared = min(fork_rss) if fork_rss else 0.0
+    return peak_rss_mb() + jobs * max(0.0, children - shared)
+
+
 def plain_sweep(config: dict, budget: float, jobs: int, pick: int) -> dict:
-    """Repeat the sweep grid for the budget, then check one cell in-process."""
-    delta = sweep_delta(SWEEP_METHODS[0], dict(config["loss"]))
-    t0 = time.perf_counter()
-    test_count = int(build(config, SWEEP_RATIO, SWEEP_SEEDS[0], delta).test_mask.sum())
-    setups = [time.perf_counter() - t0]
-    grids, durations, failures, attempted = [], [], [], 0
+    """Repeat the sweep grid for the budget, then re-run one cell in-process."""
+    grids, durations = [], []
+    forks_before = len(FORK_RSS_MB)
     started = time.perf_counter()
     while _more(started, durations, budget, minimum=1):
         t0 = time.perf_counter()
         results = run_sweep(config, jobs)
         durations.append(time.perf_counter() - t0)
-        cells = cell_summary(results)
-        problems = check_cells(results, test_count)
-        if grids:
-            for i, (a, b) in enumerate(zip(cells, grids[0]["cells"])):
-                if a["macro_f1"] != b["macro_f1"] and not problems[i]:
-                    problems[i] = f"repeat sweep changed macro_f1 of cell {i}"
-        attempted += len(results)
-        failures.extend(p for p in problems if p)
-        grids.append({"wall_s": durations[-1], "cells": cells})
-    first = grids[0]["cells"]
+        grids.append(results)
+    peak = sweep_peak_rss_mb(jobs, FORK_RSS_MB[forks_before:])
+
+    first = cell_summary(grids[0])
     cell = first[pick % len(first)]
     serial = {"method": cell["method"], "seed": cell["seed"], "walls": []}
-    attempted += 1
+    failures, attempted = [], sum(len(g) for g in grids) + 1
+    test_count, delta = None, None
     try:
-        wall, problems = replica_cell(config, cell["method"], cell["seed"], cell["macro_f1"])
-        serial["walls"].append(wall)
+        result, dataset, problems = repeat_cell(config, cell)
+        serial["walls"].append(result.wall_time)
+        test_count, delta = int(dataset.test_mask.sum()), dataset.partition.delta
+        del dataset
         failures.extend(problems[:1])
     except Exception as exc:  # a failed run is counted, the benchmark goes on
         failures.append(_failure(exc))
-    setups += setup_times(config, SWEEP_RATIO, SWEEP_SEEDS[0], delta)
-    walls = [c["wall_time"] for g in grids for c in g["cells"]]
+    for results in grids:
+        problems = check_cells(results, test_count)
+        for i, (a, b) in enumerate(zip(cell_summary(results), first)):
+            if a["macro_f1"] != b["macro_f1"] and not problems[i]:
+                problems[i] = f"repeat sweep changed macro_f1 of cell {i}"
+        failures.extend(p for p in problems if p)
+    if delta is None:
+        return {"end_to_end": {}, "attempted": attempted, "failures": failures,
+                "runs": len(grids), "cells": first, "serial": serial}
+    setups = setup_times(config, SWEEP_RATIO, cell["seed"], delta, SETUP_REPEATS + 1)
+    walls = [r.wall_time for g in grids for r in g]
     return {
         "end_to_end": {
             "setup_s": statistics.median(setups),
             "train_s": statistics.median(walls),
             "wall_s": statistics.median(durations),
             "macro_f1": statistics.fmean(c["macro_f1"] for c in first),
+            "peak_rss_mb": peak,
         },
         "attempted": attempted, "failures": failures, "runs": len(grids),
         "cells": first, "serial": serial,
         "pool_efficiency": statistics.median(
-            sum(c["wall_time"] for c in g["cells"]) / (jobs * g["wall_s"]) for g in grids),
+            sum(r.wall_time for r in g) / (jobs * d) for g, d in zip(grids, durations)),
     }
 
 
 def traced(workload: str, config: dict) -> dict:
-    """Run the workload once with every layer wrapped; checks each train() call."""
+    """Run the workload once with every layer wrapped; checks each train() call.
+
+    The returned dict holds the tracer, whose spans the caller writes out.
+    """
     tracer, captured = Tracer(), []
     layers.install(tracer, MODS, captured)
     try:
@@ -284,25 +311,4 @@ def traced(workload: str, config: dict) -> dict:
         failures.extend(check_run(dataset, params, f1)[:1])
     metrics, fired, notes = layers.layer_metrics(tracer, nn.HIDDEN_DIM)
     return {"layer": metrics, "fired": fired, "notes": notes, "cells": cells,
-            "attempted": attempted, "failures": failures}
-
-
-def main(argv: list[str]) -> int:
-    with open(argv[1], "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    workload, config = spec["workload"], spec["config"]
-    if spec["mode"] == "traced":
-        out = traced(workload, config)
-    elif workload == "cora-sweep":
-        out = plain_sweep(config, spec["seconds"], spec["jobs"], spec["seed"])
-    else:
-        out = plain_single(config, spec["seconds"])
-    # fork-started pool workers are counted whole, so this is an upper bound
-    out["peak_rss_mb"] = (peak_rss_mb()
-                          + spec["jobs"] * peak_rss_mb(resource.RUSAGE_CHILDREN))
-    print(json.dumps(out))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+            "attempted": attempted, "failures": failures, "tracer": tracer}

@@ -4,40 +4,39 @@
 
 Run from the root of a checkout; the benchmark imports the program from
 `src/` and reads its run configs from `configs/`. Inputs are written from
-`--seed` under `.perfbench_work/` and removed at the end. Each phase runs in
-a fresh process with BLAS pinned to one thread, so peak memory covers that
-phase alone and pool workers x BLAS threads stays within the core count.
+`--seed` under `.perfbench_work/` and removed at the end. BLAS is pinned to
+one thread before numpy loads, so pool workers x BLAS threads stays within
+the core count. Each call measures one workload in this process; start a
+fresh process per workload so that peak memory covers that workload alone.
 
 With `--trace 0` the workload repeats untraced for `--seconds` and the
 end-to-end metrics are printed. With `--trace 1` that untraced phase is
-followed by one traced run, and the per-layer metrics are printed. The last
-line of standard output is the JSON result; the lines before it give every
-metric by name and unit, the error rate and the machine.
+followed by one traced run, the per-layer metrics are printed and the
+traced run's spans are written to `.perfbench_spans/`. The last line of
+standard output is the JSON result; the lines before it give every metric
+by name and unit, the error rate and the machine.
 """
 
-import argparse
-import json
 import os
-import shutil
-import signal
-import statistics
-import subprocess
-import sys
-import time
 
-import numpy as np
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"  # before numpy loads BLAS; pool workers inherit it
 
-from layers import load_layer_map
-from workloads import SWEEP_METHODS, WORKLOADS, make_config
+import argparse  # noqa: E402
+import json  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from layers import load_layer_map  # noqa: E402
+from workloads import SWEEP_METHODS, WORKLOADS, make_config  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-TIME_LIMIT = 170.0  # seconds for all phases of one run
-
-
-class BenchmarkError(RuntimeError):
-    """The benchmark could not produce a result."""
+NEEDED = ("src/pugraph/__init__.py", "configs/cora_pugnn.json", "configs/sbm_pugnn.json")
 
 
 def load_benchmark() -> dict:
@@ -50,31 +49,6 @@ def machine_note(jobs: int) -> dict:
     return {"nproc": len(os.sched_getaffinity(0)), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "threads": {v: os.environ.get(v) for v in THREAD_VARS}, "jobs": jobs}
-
-
-def run_phase(spec: dict, work_dir: str, deadline: float) -> dict:
-    """Run phase.py on `spec` in a fresh process group; return its JSON line."""
-    path = os.path.join(work_dir, f"spec-{spec['mode']}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec, fh)
-    proc = subprocess.Popen([sys.executable, os.path.join(HERE, "phase.py"), path],
-                            stdout=subprocess.PIPE, cwd=ROOT, text=True,
-                            start_new_session=True)
-    try:
-        out, _ = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        raise BenchmarkError(f"{spec['mode']} phase did not finish in time") from None
-    finally:
-        # pool workers left behind by a crashed phase share its process group
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    if proc.returncode != 0:
-        raise BenchmarkError(f"{spec['mode']} phase exited with code {proc.returncode}")
-    return json.loads(out.strip().splitlines()[-1])
 
 
 def layer_values(plain: dict, traced: dict, workload: str, layer_map: dict) -> tuple[dict, list]:
@@ -119,20 +93,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    deadline = time.monotonic() + TIME_LIMIT
 
-    for needed in ("src/pugraph/__init__.py", "configs/cora_pugnn.json",
-                   "configs/sbm_pugnn.json"):
+    for needed in NEEDED:
         if not os.path.isfile(os.path.join(ROOT, needed)):
             print(f"perfbench: {needed} not found; run from a pugraph checkout",
                   file=sys.stderr)
             return 2
-    for var in THREAD_VARS:
-        os.environ[var] = "1"  # inherited by the phase processes
     if args.workload not in WORKLOADS:
         print(f"perfbench: unknown workload {args.workload!r}; choose from {WORKLOADS}",
               file=sys.stderr)
         return 2
+    import phase  # imports pugraph, so only once the checkout is known to hold it
+
     bench = load_benchmark()
     layer_map = load_layer_map()
     # the sweep gets one pool worker per core; BLAS is pinned to one thread
@@ -142,15 +114,11 @@ def main(argv=None) -> int:
     try:
         os.makedirs(work_dir, exist_ok=True)
         config = make_config(args.workload, args.seed, ROOT, work_dir)
-        spec = {"workload": args.workload, "config": config, "seed": args.seed,
-                "seconds": args.seconds, "jobs": jobs}
-        plain = run_phase({**spec, "mode": "plain"}, work_dir, deadline)
-        traced = None
-        if args.trace:
-            traced = run_phase({**spec, "mode": "traced", "jobs": 1}, work_dir, deadline)
-    except BenchmarkError as exc:
-        print(f"perfbench: {exc}", file=sys.stderr)
-        return 1
+        if args.workload == "cora-sweep":
+            plain = phase.plain_sweep(config, args.seconds, jobs, args.seed)
+        else:
+            plain = phase.plain_single(config, args.seconds)
+        traced = phase.traced(args.workload, config) if args.trace else None
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
         try:
@@ -160,7 +128,7 @@ def main(argv=None) -> int:
 
     failures = list(plain["failures"])
     attempted = plain["attempted"]
-    end_to_end = dict(plain["end_to_end"], peak_rss_mb=plain["peak_rss_mb"])
+    end_to_end = plain["end_to_end"]
     problems = [] if end_to_end.keys() >= {m["name"] for m in bench["end_to_end"]} \
         else ["no training run finished"]
     layer = {}
@@ -169,6 +137,12 @@ def main(argv=None) -> int:
         attempted += traced["attempted"]
         layer, span_problems = layer_values(plain, traced, args.workload, layer_map)
         problems += span_problems + traced_matches(plain, traced)
+        spans_dir = os.path.join(ROOT, ".perfbench_spans")
+        os.makedirs(spans_dir, exist_ok=True)
+        spans_path = os.path.join(spans_dir, f"{args.workload}-seed{args.seed}.jsonl")
+        traced["tracer"].write_jsonl(spans_path)
+        print(f"spans: {os.path.relpath(spans_path, ROOT)} "
+              f"({len(traced['tracer'].spans)} spans)")
 
     print(f"machine: {json.dumps(machine_note(jobs), sort_keys=True)}")
     print(f"workload: {args.workload} seed={args.seed} runs={plain['runs']} "

@@ -1,5 +1,6 @@
 """The phase runner on a tiny SBM: output checks pass and every span fires."""
 
+import json
 import os
 
 import pytest
@@ -24,8 +25,29 @@ def test_plain_repeats_and_checks(tiny):
     out = phase.plain_single(tiny, budget=0.0)
     assert out["failures"] == []
     assert out["attempted"] == out["runs"] == 2
-    assert set(out["end_to_end"]) == {"setup_s", "train_s", "wall_s", "macro_f1"}
+    assert set(out["end_to_end"]) == {"setup_s", "train_s", "wall_s", "macro_f1",
+                                      "peak_rss_mb"}
     assert out["cells"][0]["macro_f1"] == out["end_to_end"]["macro_f1"]
+
+
+def test_plain_sweep_repeats_a_cell_with_run_single(tiny):
+    out = phase.plain_sweep(tiny, budget=0.0, jobs=1, pick=5)
+    assert out["failures"] == []
+    assert out["runs"] == 1
+    assert out["attempted"] == len(out["cells"]) + 1
+    assert (out["serial"]["method"], out["serial"]["seed"]) == (
+        out["cells"][5]["method"], out["cells"][5]["seed"])
+    assert len(out["serial"]["walls"]) == 1
+    assert out["end_to_end"]["peak_rss_mb"] > 0
+    assert 0 < out["pool_efficiency"] <= 1
+
+
+def test_sweep_peak_counts_worker_memory_above_the_fork():
+    own = phase.peak_rss_mb()
+    assert phase.sweep_peak_rss_mb(2, []) >= own
+    # a worker that only holds what it shared at the fork adds nothing
+    children = phase.peak_rss_mb(phase.resource.RUSAGE_CHILDREN)
+    assert phase.sweep_peak_rss_mb(2, [children + 1.0]) == own
 
 
 def test_traced_fires_every_span_that_applies(tiny):
@@ -37,6 +59,7 @@ def test_traced_fires_every_span_that_applies(tiny):
         if "sbm-8k" in applies[name]:
             assert out["fired"][name] > 0, name
     assert out["layer"]["train.epoch.count"] == 3
+    assert out["layer"]["graph.generate_sbm.alloc_mb"] > 0
     assert out["layer"]["losses.regularizer.pairs"] == pytest.approx(
         out["layer"]["train.sampler.draws"] * 51 / 50)
 
@@ -46,3 +69,14 @@ def test_wrappers_are_removed_after_the_traced_run(tiny):
     phase.traced("sbm-8k", tiny)
     assert phase.train.train is before
     assert phase.evaluate.train is before
+
+
+def test_traced_spans_are_written_out(tiny, tmp_path):
+    out = phase.traced("sbm-8k", tiny)
+    path = tmp_path / "spans.jsonl"
+    out["tracer"].write_jsonl(str(path))
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(rows) == len(out["tracer"].spans)
+    assert rows[0]["name"] == "evaluate.cell" and rows[0]["parent"] is None
+    assert {r["name"] for r in rows} >= {"train.train", "losses.regularizer"}
+    assert all(r["end"] >= r["start"] for r in rows)

@@ -1,5 +1,6 @@
 import types
 
+import numpy as np
 import pytest
 
 from layers import tail
@@ -59,6 +60,14 @@ def test_span_closes_when_the_call_raises():
         mod.fail()
     assert tracer.spans[0].end >= tracer.spans[0].start
     assert tracer.begin("next").parent is None
+
+
+def test_memory_span_records_the_allocation_peak():
+    mod = types.SimpleNamespace(alloc=lambda: float(np.ones(2**20).sum()))
+    tracer = Tracer()
+    tracer.wrap([mod], "alloc", "alloc", memory=True)
+    assert mod.alloc() == 2**20
+    assert tracer.spans[0].attrs["alloc_peak_mb"] >= 8.0
 
 
 def test_tail_leaves_ten_samples_beyond():

@@ -4,12 +4,15 @@
 global or a class attribute) by a wrapper that records one span per call,
 so the program's own code runs unchanged. A span holds its name, start,
 end, the index of the span open when it began (its parent) and a few
-attributes. Spans stay in memory until the caller reads `spans`.
+attributes. Spans stay in memory until the caller reads `spans` or writes
+them out with `write_jsonl`.
 """
 
 import functools
+import json
 import resource
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 
@@ -49,11 +52,13 @@ class Tracer:
         span.end = time.perf_counter()
         self._open.pop()
 
-    def wrap(self, owners, attr: str, name: str, annotate=None, rss=False):
+    def wrap(self, owners, attr: str, name: str, annotate=None, memory=False):
         """Trace `attr` on each owner; all owners must hold the same object.
 
         `annotate(args, result)` returns attributes for the span. With
-        `rss`, the span also records the rise of peak RSS across the call.
+        `memory`, the span also records the peak of memory allocated during
+        the call (tracemalloc, which counts numpy buffers), in MiB; unlike
+        the process's peak RSS, this does not depend on what ran before.
         """
         original = getattr(owners[0], attr)
         for owner in owners[1:]:
@@ -62,14 +67,17 @@ class Tracer:
 
         @functools.wraps(original)
         def traced(*args, **kwargs):
-            before = peak_rss_mb() if rss else 0.0
+            if memory:
+                tracemalloc.start()
             span = self.begin(name)
             try:
                 result = original(*args, **kwargs)
             finally:
                 self.end(span)
-            if rss:
-                span.attrs["rss_rise_mb"] = peak_rss_mb() - before
+                if memory:
+                    peak = tracemalloc.get_traced_memory()[1]
+                    span.attrs["alloc_peak_mb"] = peak / 2**20
+                    tracemalloc.stop()
             if annotate is not None:
                 span.attrs.update(annotate(args, result))
             return result
@@ -82,6 +90,14 @@ class Tracer:
         while self._patches:
             owner, attr, original = self._patches.pop()
             setattr(owner, attr, original)
+
+    def write_jsonl(self, path: str):
+        """Write one JSON object per span: index, name, parent, start, end, attrs."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, s in enumerate(self.spans):
+                fh.write(json.dumps({"i": i, "name": s.name, "parent": s.parent,
+                                     "start": s.start, "end": s.end, "attrs": s.attrs},
+                                    default=float) + "\n")
 
     def self_seconds(self) -> list[float]:
         """Per span: its duration minus the durations of its direct children."""
