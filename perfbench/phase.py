@@ -10,7 +10,6 @@ before this module imports numpy.
 import importlib
 import math
 import os
-import resource
 import statistics
 import sys
 import time
@@ -23,8 +22,8 @@ import numpy as np  # noqa: E402
 
 import layers  # noqa: E402
 from tracer import Tracer, peak_rss_mb  # noqa: E402
-from workloads import (SETUP_REPEATS, SWEEP_METHODS, SWEEP_RATIO,  # noqa: E402
-                       SWEEP_SEEDS)
+from workloads import (SETUP_REPEATS, SWEEP_JOBS, SWEEP_METHODS,  # noqa: E402
+                       SWEEP_RATIO, SWEEP_SEEDS)
 
 # import_module, not `import pugraph.train as ...`: the package rebinds the
 # name `train` to the function
@@ -32,19 +31,6 @@ MODS = {name: importlib.import_module(f"pugraph.{name}")
         for name in ("data", "graph", "nn", "losses", "train", "evaluate")}
 data, graph, nn = MODS["data"], MODS["graph"], MODS["nn"]
 losses, train, evaluate = MODS["losses"], MODS["train"], MODS["evaluate"]
-
-
-def rss_mb() -> float:
-    """Current resident set size of this process, in MiB."""
-    with open("/proc/self/statm", "r", encoding="ascii") as fh:
-        pages = int(fh.read().split()[1])
-    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
-
-
-# A forked pool worker's peak RSS counts the pages it shares with its parent
-# at the fork, so the parent's RSS is noted just before every fork.
-FORK_RSS_MB: list[float] = []
-os.register_at_fork(before=lambda: FORK_RSS_MB.append(rss_mb()))
 
 
 def _failure(exc: BaseException) -> str:
@@ -157,16 +143,14 @@ def plain_single(config: dict, budget: float) -> dict:
         }
     cells = [{"method": "pugnn", "seed": config["train"]["seed"], "macro_f1": u["macro_f1"],
               "wall_time": u["wall_s"]} for u in units[:1]]
-    serial = {"method": "pugnn", "seed": config["train"]["seed"],
-              "walls": [u["wall_s"] for u in units]}
     return {"end_to_end": end_to_end, "attempted": len(durations), "failures": failures,
-            "runs": len(units), "cells": cells, "serial": serial}
+            "runs": len(units), "cells": cells}
 
 
-def run_sweep(config: dict, jobs: int):
+def run_sweep(config: dict):
     base = train.TrainConfig(**config["train"])
     return evaluate.run_grid(config["dataset"], SWEEP_METHODS, (SWEEP_RATIO,),
-                             SWEEP_SEEDS, base, dict(config["loss"]), jobs=jobs)
+                             SWEEP_SEEDS, base, dict(config["loss"]), jobs=SWEEP_JOBS)
 
 
 def check_cells(results, test_count: int) -> list[str]:
@@ -184,27 +168,22 @@ def check_cells(results, test_count: int) -> list[str]:
     return problems
 
 
-def repeat_cell(config: dict, cell: dict):
-    """Re-run one sweep cell in this process with `evaluate.run_single`.
+def repeat_cell(config: dict, method: str, seed: int):
+    """Run one sweep cell in this process with `evaluate.run_single`.
 
-    Returns the result, the dataset and parameters its train() call saw
-    (captured by a wrapper) and the problems its outputs show, including a
-    macro-F1 that differs from the sweep's.
+    Returns the result, the dataset its train() call saw (captured by a
+    wrapper) and the problems the output checks find.
     """
     tracer, captured = Tracer(), []
     layers.keep_runs(tracer, [evaluate], captured)
     try:
         result = evaluate.run_single(
-            config["dataset"], cell["method"], SWEEP_RATIO, cell["seed"],
+            config["dataset"], method, SWEEP_RATIO, seed,
             train.TrainConfig(**config["train"]), dict(config["loss"]))
     finally:
         tracer.restore()
     dataset, params = captured[0]
-    problems = check_run(dataset, params, result.macro_f1)
-    if result.macro_f1 != cell["macro_f1"]:
-        problems.append(f"repeat of cell {cell['method']}/seed {cell['seed']} gave "
-                        f"macro_f1 {result.macro_f1!r}, sweep {cell['macro_f1']!r}")
-    return result, dataset, problems
+    return result, dataset, check_run(dataset, params, result.macro_f1)
 
 
 def cell_summary(results) -> list[dict]:
@@ -212,43 +191,40 @@ def cell_summary(results) -> list[dict]:
              "wall_time": r.wall_time} for r in results]
 
 
-def sweep_peak_rss_mb(jobs: int, fork_rss: list[float]) -> float:
-    """This process's peak plus `jobs` times the largest pool worker's peak
-    above the pages it shared with this process at its fork.
+def plain_sweep(config: dict, budget: float, pick: int) -> dict:
+    """Run one cell first, as warm-up and repeat check, then repeat the sweep
+    grid for the budget.
 
-    The smallest RSS seen at a fork is subtracted, so this is an upper bound
-    on the memory the sweep held at once.
+    With SWEEP_JOBS = 1 every cell runs in this process, so the peak RSS,
+    read right after the grids, is that of the largest cell; the warm-up is
+    one of the grid's cells, run the same way.
     """
-    children = peak_rss_mb(resource.RUSAGE_CHILDREN)
-    shared = min(fork_rss) if fork_rss else 0.0
-    return peak_rss_mb() + jobs * max(0.0, children - shared)
+    method = SWEEP_METHODS[pick // len(SWEEP_SEEDS) % len(SWEEP_METHODS)]
+    seed = SWEEP_SEEDS[pick % len(SWEEP_SEEDS)]
+    repeat, test_count, delta = None, None, None
+    try:
+        repeat, dataset, warm_problems = repeat_cell(config, method, seed)
+        test_count, delta = int(dataset.test_mask.sum()), dataset.partition.delta
+        del dataset
+    except Exception as exc:  # a failed run is counted, the benchmark goes on
+        warm_problems = [_failure(exc)]
 
-
-def plain_sweep(config: dict, budget: float, jobs: int, pick: int) -> dict:
-    """Repeat the sweep grid for the budget, then re-run one cell in-process."""
     grids, durations = [], []
-    forks_before = len(FORK_RSS_MB)
     started = time.perf_counter()
     while _more(started, durations, budget, minimum=1):
         t0 = time.perf_counter()
-        results = run_sweep(config, jobs)
+        results = run_sweep(config)
         durations.append(time.perf_counter() - t0)
         grids.append(results)
-    peak = sweep_peak_rss_mb(jobs, FORK_RSS_MB[forks_before:])
+    peak = peak_rss_mb()
 
     first = cell_summary(grids[0])
-    cell = first[pick % len(first)]
-    serial = {"method": cell["method"], "seed": cell["seed"], "walls": []}
-    failures, attempted = [], sum(len(g) for g in grids) + 1
-    test_count, delta = None, None
-    try:
-        result, dataset, problems = repeat_cell(config, cell)
-        serial["walls"].append(result.wall_time)
-        test_count, delta = int(dataset.test_mask.sum()), dataset.partition.delta
-        del dataset
-        failures.extend(problems[:1])
-    except Exception as exc:  # a failed run is counted, the benchmark goes on
-        failures.append(_failure(exc))
+    if repeat is not None:
+        twin = next(c for c in first if (c["method"], c["seed"]) == (method, seed))
+        if twin["macro_f1"] != repeat.macro_f1:
+            warm_problems.append(f"repeat of cell {method}/seed {seed} gave macro_f1 "
+                                 f"{repeat.macro_f1!r}, sweep {twin['macro_f1']!r}")
+    failures, attempted = warm_problems[:1], sum(len(g) for g in grids) + 1
     for results in grids:
         problems = check_cells(results, test_count)
         for i, (a, b) in enumerate(zip(cell_summary(results), first)):
@@ -257,8 +233,8 @@ def plain_sweep(config: dict, budget: float, jobs: int, pick: int) -> dict:
         failures.extend(p for p in problems if p)
     if delta is None:
         return {"end_to_end": {}, "attempted": attempted, "failures": failures,
-                "runs": len(grids), "cells": first, "serial": serial}
-    setups = setup_times(config, SWEEP_RATIO, cell["seed"], delta, SETUP_REPEATS + 1)
+                "runs": len(grids), "cells": first}
+    setups = setup_times(config, SWEEP_RATIO, seed, delta, SETUP_REPEATS + 1)
     walls = [r.wall_time for g in grids for r in g]
     return {
         "end_to_end": {
@@ -268,24 +244,26 @@ def plain_sweep(config: dict, budget: float, jobs: int, pick: int) -> dict:
             "macro_f1": statistics.fmean(c["macro_f1"] for c in first),
             "peak_rss_mb": peak,
         },
-        "attempted": attempted, "failures": failures, "runs": len(grids),
-        "cells": first, "serial": serial,
+        "attempted": attempted, "failures": failures, "runs": len(grids), "cells": first,
         "pool_efficiency": statistics.median(
-            sum(r.wall_time for r in g) / (jobs * d) for g, d in zip(grids, durations)),
+            sum(r.wall_time for r in g) / (SWEEP_JOBS * d) for g, d in zip(grids, durations)),
     }
 
 
 def traced(workload: str, config: dict) -> dict:
     """Run the workload once with every layer wrapped; checks each train() call.
 
-    The returned dict holds the tracer, whose spans the caller writes out.
+    The returned dict holds the run's wall time (None if it failed) and the
+    tracer, whose spans the caller writes out.
     """
-    tracer, captured = Tracer(), []
+    tracer, captured, wall = Tracer(), [], None
     layers.install(tracer, MODS, captured)
     try:
         if workload == "cora-sweep":
-            # in-process, because spans recorded in pool workers would be lost
-            results = run_sweep(config, jobs=1)
+            # SWEEP_JOBS is 1, so the cells run in this process like the untraced sweep's
+            t0 = time.perf_counter()
+            results = run_sweep(config)
+            wall = time.perf_counter() - t0
             reported = [r.macro_f1 for r in results]
             cells = cell_summary(results)
             attempted = len(results)
@@ -300,6 +278,7 @@ def traced(workload: str, config: dict) -> dict:
             finally:
                 tracer.end(span)
             if not failures:
+                wall = span.seconds
                 reported = [unit["macro_f1"]]
                 cells = [{"method": "pugnn", "seed": config["train"]["seed"],
                           "macro_f1": unit["macro_f1"], "wall_time": span.seconds}]
@@ -311,4 +290,4 @@ def traced(workload: str, config: dict) -> dict:
         failures.extend(check_run(dataset, params, f1)[:1])
     metrics, fired, notes = layers.layer_metrics(tracer, nn.HIDDEN_DIM)
     return {"layer": metrics, "fired": fired, "notes": notes, "cells": cells,
-            "attempted": attempted, "failures": failures, "tracer": tracer}
+            "wall_s": wall, "attempted": attempted, "failures": failures, "tracer": tracer}

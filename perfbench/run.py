@@ -5,9 +5,10 @@
 Run from the root of a checkout; the benchmark imports the program from
 `src/` and reads its run configs from `configs/`. Inputs are written from
 `--seed` under `.perfbench_work/` and removed at the end. BLAS is pinned to
-one thread before numpy loads, so pool workers x BLAS threads stays within
-the core count. Each call measures one workload in this process; start a
-fresh process per workload so that peak memory covers that workload alone.
+one thread before numpy loads, and every workload, the sweep included, runs
+its training in this one process, so the benchmark keeps one core busy.
+Each call measures one workload; start a fresh process per workload so that
+peak memory covers that workload alone.
 
 With `--trace 0` the workload repeats untraced for `--seconds` and the
 end-to-end metrics are printed. With `--trace 1` that untraced phase is
@@ -21,7 +22,7 @@ import os
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
-    os.environ[_var] = "1"  # before numpy loads BLAS; pool workers inherit it
+    os.environ[_var] = "1"  # before numpy loads BLAS
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -32,7 +33,7 @@ import sys  # noqa: E402
 import numpy as np  # noqa: E402
 
 from layers import load_layer_map  # noqa: E402
-from workloads import SWEEP_METHODS, WORKLOADS, make_config  # noqa: E402
+from workloads import SWEEP_JOBS, SWEEP_METHODS, WORKLOADS, make_config  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -62,15 +63,11 @@ def layer_values(plain: dict, traced: dict, workload: str, layer_map: dict) -> t
         fired[f"evaluate.macro_f1.{method}"] = len(f1s)
     values["evaluate.pool.efficiency"] = plain.get("pool_efficiency", 0.0)
     fired["evaluate.pool.efficiency"] = plain["runs"] if "pool_efficiency" in plain else 0
-    # against untraced runs of the same cell in a single process; a sweep's
-    # pool cells share the cores and run slower
-    serial = plain["serial"]
-    traced_walls = [c["wall_time"] for c in traced["cells"]
-                    if (c["method"], c["seed"]) == (serial["method"], serial["seed"])]
-    if traced_walls and serial["walls"]:
-        values["trace.overhead"] = (statistics.median(traced_walls)
-                                    / statistics.median(serial["walls"]) - 1.0)
-        fired["trace.overhead"] = len(traced_walls)
+    # the traced run's wall time against the untraced median of the same work
+    untraced = plain["end_to_end"].get("wall_s")
+    if traced["wall_s"] is not None and untraced:
+        values["trace.overhead"] = traced["wall_s"] / untraced - 1.0
+        fired["trace.overhead"] = 1
     problems = [f"{name} never fired on {workload}"
                 for name, where in layer_map["applies"].items()
                 if workload in where and not fired.get(name)]
@@ -107,15 +104,14 @@ def main(argv=None) -> int:
 
     bench = load_benchmark()
     layer_map = load_layer_map()
-    # the sweep gets one pool worker per core; BLAS is pinned to one thread
-    jobs = len(os.sched_getaffinity(0)) if args.workload == "cora-sweep" else 1
+    jobs = SWEEP_JOBS if args.workload == "cora-sweep" else 1
     work_dir = os.path.join(ROOT, ".perfbench_work",
                             f"{args.workload}-{args.seed}-{os.getpid()}")
     try:
         os.makedirs(work_dir, exist_ok=True)
         config = make_config(args.workload, args.seed, ROOT, work_dir)
         if args.workload == "cora-sweep":
-            plain = phase.plain_sweep(config, args.seconds, jobs, args.seed)
+            plain = phase.plain_sweep(config, args.seconds, args.seed)
         else:
             plain = phase.plain_single(config, args.seconds)
         traced = phase.traced(args.workload, config) if args.trace else None

@@ -31,23 +31,25 @@ def test_plain_repeats_and_checks(tiny):
 
 
 def test_plain_sweep_repeats_a_cell_with_run_single(tiny):
-    out = phase.plain_sweep(tiny, budget=0.0, jobs=1, pick=5)
+    out = phase.plain_sweep(tiny, budget=0.0, pick=5)
     assert out["failures"] == []
     assert out["runs"] == 1
     assert out["attempted"] == len(out["cells"]) + 1
-    assert (out["serial"]["method"], out["serial"]["seed"]) == (
-        out["cells"][5]["method"], out["cells"][5]["seed"])
-    assert len(out["serial"]["walls"]) == 1
     assert out["end_to_end"]["peak_rss_mb"] > 0
     assert 0 < out["pool_efficiency"] <= 1
 
 
-def test_sweep_peak_counts_worker_memory_above_the_fork():
-    own = phase.peak_rss_mb()
-    assert phase.sweep_peak_rss_mb(2, []) >= own
-    # a worker that only holds what it shared at the fork adds nothing
-    children = phase.peak_rss_mb(phase.resource.RUSAGE_CHILDREN)
-    assert phase.sweep_peak_rss_mb(2, [children + 1.0]) == own
+def test_plain_sweep_flags_a_repeat_that_differs(tiny, monkeypatch):
+    real = phase.repeat_cell
+
+    def shifted(*args):
+        result, dataset, problems = real(*args)
+        result.macro_f1 += 1.0
+        return result, dataset, problems
+
+    monkeypatch.setattr(phase, "repeat_cell", shifted)
+    out = phase.plain_sweep(tiny, budget=0.0, pick=5)
+    assert len(out["failures"]) == 1 and "repeat of cell" in out["failures"][0]
 
 
 def test_traced_fires_every_span_that_applies(tiny):
@@ -59,6 +61,7 @@ def test_traced_fires_every_span_that_applies(tiny):
         if "sbm-8k" in applies[name]:
             assert out["fired"][name] > 0, name
     assert out["layer"]["train.epoch.count"] == 3
+    assert out["wall_s"] > 0
     assert out["layer"]["graph.generate_sbm.alloc_mb"] > 0
     assert out["layer"]["losses.regularizer.pairs"] == pytest.approx(
         out["layer"]["train.sampler.draws"] * 51 / 50)

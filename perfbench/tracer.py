@@ -16,9 +16,9 @@ import tracemalloc
 from dataclasses import dataclass, field
 
 
-def peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
-    """Peak resident set size so far, in MiB (Linux reports KiB)."""
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 @dataclass

@@ -19,6 +19,11 @@ EPOCHS = {"cora-pugnn": 30, "cora-sweep": 40, "sbm-8k": 4}
 SWEEP_METHODS = ("naive", "nnpu", "distpu", "pugnn_noreg")
 SWEEP_RATIO = 0.01
 SWEEP_SEEDS = (0, 1, 2)
+# run_grid's worker count. One worker per core (2) measured too unsteady on a
+# shared 2-vCPU host: two busy workers leave no core for anything else, and
+# the sweep's wall time spread up to 0.32 of its median across runs of the
+# same code. With one, the cells run in the benchmark's process.
+SWEEP_JOBS = 1
 
 SBM_BLOCK = 4000          # nodes per block, 8,000 in all
 SBM_FEATURES = 500        # Pubmed's feature width
