@@ -142,6 +142,12 @@ def _write_run_manifest(out_dir: str, config_path: str, resolved: dict):
     })
 
 
+def _write_train_log(out_dir: str, records: list[dict]):
+    with open(os.path.join(out_dir, "train_log.jsonl"), "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def _thread_note() -> dict:
     return {"cpu_count": os.cpu_count(),
             "omp_num_threads": os.environ.get("OMP_NUM_THREADS")}
@@ -165,11 +171,10 @@ def cmd_train(args) -> int:
     except TrainingAbort as exc:
         if exc.last_good is not None:
             save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), exc.last_good)
+        _write_train_log(out_dir, exc.records)
         raise
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), params)
-    with open(os.path.join(out_dir, "train_log.jsonl"), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_train_log(out_dir, records)
     adj = normalize_adjacency(dataset.graph)
     cache = forward_from_propagated(adj, adj.matmul(dataset.features), params)
     metrics = macro_f1(cache.y_hat, dataset.true_label, dataset.test_mask)

@@ -27,13 +27,15 @@ class NumericError(ArithmeticError):
 
 
 class TrainingAbort(RuntimeError):
-    """Training diverged; carries the parameters of the last good epoch.
+    """Training diverged; carries the parameters of the last good epoch and
+    the per-epoch records logged before the abort.
 
     Divergence is a forward pass that puts every score on the Y_EPS clip, or
     a non-finite loss or activation (see pugraph.train.TrainConfig).
     """
 
-    def __init__(self, message: str, epoch: int, last_good=None):
+    def __init__(self, message: str, epoch: int, last_good=None, records=None):
         super().__init__(message)
         self.epoch = epoch
         self.last_good = last_good
+        self.records = list(records or [])

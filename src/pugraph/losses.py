@@ -7,6 +7,9 @@ per-node scores y_hat (and the representations Z for the regularizer). The
 distpu_loss and distance_aware_loss share one distribution-matching core, so
 the distance-aware loss with an empty far set and pi_hat = pi_p reduces to
 the Dist-PU loss bit-exactly, not just approximately.
+
+structural_regularizer has one path for every graph size, chunked per directed
+edge, in O((n + E) * d + chunk * k * d) memory for E edges: no n x n array.
 """
 
 import logging
@@ -178,11 +181,9 @@ def distance_aware_loss(y_hat: np.ndarray, partition: DistancePartition,
     return _distribution_match(y, partition.labeled, subsets)
 
 
-# Below this many nodes the regularizer goes through a dense n x n similarity
-# matrix (one Gram product + one scalar scatter); above it, pairs stream in
-# chunks to bound memory. Both paths compute the same sums.
-DENSE_REG_NODES = 4096
-_PAIR_CHUNK = 1 << 20
+# Sampleable edges per chunk of negative pairs: the (edges, k, d) gather of
+# their representations stays a few megabytes.
+_EDGE_CHUNK = 2048
 
 
 def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
@@ -192,12 +193,20 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
     Each undirected edge contributes from both endpoints; for the directed
     pair (i, j) the sampler draws k uniform non-neighbors of i. Nodes whose
     non-neighbor set is empty (complete graphs) skip their negative term.
+
+    The dots of (i, j) and (j, i) are bit-equal, so an edge's gradient is
+    twice its source-side term. Negatives go _EDGE_CHUNK edges at a time: an
+    (e, k, d) gather, einsum dots and source sides, and one bincount per
+    column scatters the negative side into a (d, n) accumulator; one more per
+    column over the sources adds both source sides. Memory is
+    O((n + E) * d + _EDGE_CHUNK * k * d) for E directed edges, never O(n^2).
     """
     if graph.num_edges < 1:
         raise InputError("structural_regularizer requires a graph with at least one edge")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     z = np.asarray(z, dtype=np.float64)
+    n, d = z.shape
     src, dst = graph.directed_edges()
     can_sample = sampler.non_neighbor_counts[src] > 0
     n_skipped = int((~can_sample).sum())
@@ -205,53 +214,34 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
         log.warning("structural_regularizer: skipped negative terms for %d directed edges "
                     "whose source has no non-neighbors", n_skipped)
     negs = sampler.edge_negatives(src[can_sample], dst[can_sample], k)
-    pair_a = np.concatenate([src, np.repeat(src[can_sample], k)])
-    pair_b = np.concatenate([dst, negs.ravel()])
-    n_pos_pairs = src.size
-    n = z.shape[0]
-    if n <= DENSE_REG_NODES:
-        return _regularizer_dense(z, pair_a, pair_b, n_pos_pairs)
-    return _regularizer_streaming(z, pair_a, pair_b, n_pos_pairs)
-
-
-def _pair_coefs(dots: np.ndarray, n_pos: int) -> tuple[float, np.ndarray]:
-    """Value and d(value)/d(dot) per pair; the first n_pos pairs target 1."""
-    s = sigmoid(dots)
-    diff = s.copy()
-    diff[:n_pos] -= 1.0
-    value = float(np.dot(diff, diff))
-    return value, 2.0 * diff * s * (1.0 - s)
-
-
-def _regularizer_dense(z, pair_a, pair_b, n_pos):
-    n = z.shape[0]
-    gram = z @ z.T
-    value, coef = _pair_coefs(gram[pair_a, pair_b], n_pos)
-    # sum duplicate pairs into a dense coefficient matrix, then two matmuls
-    c = np.bincount(pair_a * n + pair_b, weights=coef, minlength=n * n).reshape(n, n)
-    grad = c @ z
-    grad += c.T @ z
-    return LossValue(value, {"regularizer": value}), grad
-
-
-def _regularizer_streaming(z, pair_a, pair_b, n_pos):
-    n = z.shape[0]
-    grad = np.zeros_like(z)
-    value = 0.0
-    for lo in range(0, pair_a.size, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, pair_a.size)
-        a, b = pair_a[lo:hi], pair_b[lo:hi]
-        za, zb = z[a], z[b]
-        chunk_value, coef = _pair_coefs(
-            np.einsum("ij,ij->i", za, zb), max(0, min(n_pos - lo, hi - lo)))
+    z_dst = z[dst]
+    value, coef = _pair_coefs(np.einsum("ed,ed->e", z[src], z_dst), 1.0)
+    to_src = 2.0 * coef[:, None] * z_dst  # (E, d) source-side gradient per edge
+    grad_t = np.zeros((d, n))
+    rows = np.flatnonzero(can_sample)
+    for lo in range(0, rows.size, _EDGE_CHUNK):
+        chunk = rows[lo:lo + _EDGE_CHUNK]
+        b = negs[lo:lo + _EDGE_CHUNK]
+        za, zn = z[src[chunk]], z[b]
+        chunk_value, c = _pair_coefs(np.einsum("ed,ekd->ek", za, zn), 0.0)
         value += chunk_value
-        # transposed contributions keep each column contiguous for bincount
-        to_a = coef * zb.T
-        to_b = coef * za.T
-        for col in range(z.shape[1]):
-            grad[:, col] += np.bincount(a, weights=to_a[col], minlength=n)
-            grad[:, col] += np.bincount(b, weights=to_b[col], minlength=n)
-    return LossValue(value, {"regularizer": value}), grad
+        to_src[chunk] += np.einsum("ek,ekd->ed", c, zn)
+        flat_b, w = b.ravel(), np.empty_like(c)
+        for col in range(d):
+            # one weight buffer per chunk: a fresh one per column is twice as slow
+            np.multiply(c, za[:, col, None], out=w)
+            grad_t[col] += np.bincount(flat_b, weights=w.ravel(), minlength=n)
+    for col in range(d):
+        grad_t[col] += np.bincount(src, weights=to_src[:, col], minlength=n)
+    return LossValue(value, {"regularizer": value}), np.ascontiguousarray(grad_t.T)
+
+
+def _pair_coefs(dots: np.ndarray, target: float) -> tuple[float, np.ndarray]:
+    """Value sum((s - target)^2) and its derivative in each dot, s = sigmoid(dot)."""
+    s = sigmoid(dots)
+    diff = s - target
+    value = float(np.vdot(diff, diff))
+    return value, 2.0 * diff * s * (1.0 - s)
 
 
 def combined_objective(y_hat: np.ndarray, z: np.ndarray,

@@ -74,10 +74,10 @@ def init_params(feature_dim: int, seed: int) -> ParamStore:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid (branch on sign, exponentiate -|x| only)."""
+    """Numerically stable sigmoid: numerator 1 or e = exp(-|x|) by sign, over 1 + e."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

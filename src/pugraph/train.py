@@ -154,7 +154,7 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     Aborts with TrainingAbort on divergence (see TrainConfig): a forward pass
     with every score on the Y_EPS clip, or a non-finite loss or activation.
     The abort carries the parameters of the last epoch whose forward pass and
-    loss passed these checks.
+    loss passed these checks, and the records logged before it.
     """
     config.validate()
     if dataset.partition.delta != config.loss.delta:
@@ -177,14 +177,15 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
                 cache.y_hat, cache.z, dataset.partition, dataset.graph,
                 config.loss, sampler)
         except NumericError as exc:
-            raise TrainingAbort(f"{exc} at epoch {epoch}", epoch, last_good)
+            raise TrainingAbort(f"{exc} at epoch {epoch}", epoch, last_good, records)
         if not np.isfinite(value.total):
             raise TrainingAbort(
-                f"non-finite loss {value.total} at epoch {epoch}", epoch, last_good)
+                f"non-finite loss {value.total} at epoch {epoch}", epoch, last_good,
+                records)
         if ((cache.y_hat <= Y_EPS) | (cache.y_hat >= 1.0 - Y_EPS)).all():
             raise TrainingAbort(
                 f"diverged at epoch {epoch}: every score sits on the Y_EPS clip",
-                epoch, last_good)
+                epoch, last_good, records)
         last_good = params.copy()
         params.zero_grad()
         gcn_backward(cache, grad_y, grad_z, params)

@@ -1,11 +1,28 @@
+import csv
 import json
+import re
 
 import numpy as np
 
 from pugraph.cli import main
+from pugraph.evaluate import MAIN_METHODS
 from pugraph.nn import load_checkpoint
 
 from conftest import small_manifest
+
+
+def write_config(tmp_path, **sections):
+    """A run config on small_manifest(); keyword arguments replace whole sections."""
+    config = {
+        "dataset": small_manifest(),
+        "label_ratio": 0.02,
+        "loss": {"kind": "distance_aware", "delta": 2, "k": 5},
+        "train": {"epochs": 20},
+    }
+    config.update(sections)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
 
 
 class TestTrainCommand:
@@ -25,3 +42,56 @@ class TestTrainCommand:
         params = load_checkpoint(out_dir / "checkpoint.bin")
         assert all(np.isfinite(v).all() for v in params.values.values())
         assert not (out_dir / "result.json").exists()
+
+    def test_divergence_writes_the_log_of_the_epochs_before_the_abort(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, train={
+            "epochs": 200, "learning_rate": 1e18, "weight_decay": 0.0})
+        out_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config_path), "--out", str(out_dir)])
+        assert code == 3
+        abort_epoch = int(re.search(r"at epoch (\d+)", capsys.readouterr().err).group(1))
+        log_path = out_dir / "train_log.jsonl"
+        assert log_path.exists()
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert records
+        assert all(r["epoch"] < abort_epoch for r in records)
+        assert not (out_dir / "result.json").exists()
+
+    def test_eval_reproduces_the_trained_macro_f1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, train={"epochs": 20})
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        result = json.loads((out_dir / "result.json").read_text())
+        metrics_path = tmp_path / "eval.json"
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--out", str(metrics_path)])
+        assert code == 0
+        assert json.loads(metrics_path.read_text())["macro_f1"] == result["macro_f1"]
+
+    def test_pi_hat_not_above_pi_breve_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, loss={"kind": "distance_aware", "delta": 2,
+                                                   "pi_hat": 0.3, "pi_breve": 0.3})
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "pugraph-error kind=config" in capsys.readouterr().err
+
+    def test_missing_jsonl_file_exits_2(self, tmp_path, capsys):
+        manifest = {"name": "missing", "format": "jsonl",
+                    "path": str(tmp_path / "no_such_file.jsonl"),
+                    "positive_classes": ["pos"], "train_fraction": 0.1, "split_seed": 0}
+        config_path = write_config(tmp_path, dataset=manifest)
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "pugraph-error kind=data" in capsys.readouterr().err
+
+
+class TestSweepCommand:
+    def test_main_sweep_exits_0_with_one_row_per_method(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, train={"epochs": 10})
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "main", "--config", str(config_path), "--out", str(out_dir),
+                     "--seeds", "1", "--ratios", "0.02"])
+        assert code == 0
+        with open(out_dir / "runs.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(r["method"] for r in rows) == sorted(MAIN_METHODS)

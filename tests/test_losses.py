@@ -1,8 +1,10 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pugraph import losses
 from pugraph.errors import ConfigError, InputError
 from pugraph.graph import DistancePartition, build_graph, normalize_adjacency
 from pugraph.losses import (LossConfig, combined_objective,
@@ -24,6 +26,20 @@ def make_partition(labeled, near, far, delta=3):
         near_unlabeled=np.asarray(near, dtype=np.int64),
         far_unlabeled=np.asarray(far, dtype=np.int64),
         min_dist=dist, delta=delta)
+
+
+def dense_regularizer(z, graph, negs, can_sample):
+    """Brute-force oracle: pair multiplicities as n x n counts over sigmoid(Z Z^T)."""
+    n = z.shape[0]
+    src, dst = graph.directed_edges()
+    s = 1.0 / (1.0 + np.exp(-(z @ z.T)))
+    pos = np.zeros((n, n))
+    np.add.at(pos, (src, dst), 1.0)
+    neg = np.zeros((n, n))
+    np.add.at(neg, (np.repeat(src[can_sample], negs.shape[1]), negs.ravel()), 1.0)
+    value = np.sum(pos * (s - 1.0) ** 2) + np.sum(neg * s ** 2)
+    coef = (2.0 * pos * (s - 1.0) + 2.0 * neg * s) * s * (1.0 - s)  # d value / d dot
+    return value, coef @ z + coef.T @ z
 
 
 def away_from_kinks(y, labeled_mask, priors, margin=1e-6):
@@ -317,6 +333,42 @@ class TestStructuralRegularizer:
             z2, g2, EdgeKeyedSampler(g2, by_edge2), 4)
         assert value2.total == pytest.approx(value.total, rel=1e-12)
         assert np.allclose(grad2[perm], grad, atol=1e-9)
+
+    def test_matches_dense_reference_across_chunks_skips_and_repeats(self, caplog):
+        rng = np.random.default_rng(10)
+        n, k = 300, 4
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < 0.035
+        hub = [(0, j) for j in range(1, n)]  # node 0 has no non-neighbors
+        g = build_graph(np.vstack([np.column_stack([iu[keep], ju[keep]]), hub]), n)
+        src, dst = g.directed_edges()
+        counts = g.num_nodes - 1 - g.degrees
+        can_sample = counts[src] > 0
+        assert counts[0] == 0
+        assert can_sample.sum() > losses._EDGE_CHUNK  # a chunk boundary is crossed
+        negs = NegativeSampler(g, 3).edge_negatives(src[can_sample], dst[can_sample], k)
+        negs[0, 1] = negs[0, 0]  # one (src, negative) pair drawn twice
+        z = rng.normal(size=(n, 16)) * 0.5
+        with caplog.at_level(logging.WARNING):
+            value, grad = structural_regularizer(z, g, ReplaySampler(g, negs), k)
+        assert f"skipped negative terms for {n - 1} directed edges" in caplog.text
+        ref_value, ref_grad = dense_regularizer(z, g, negs, can_sample)
+        assert value.total == pytest.approx(ref_value, rel=1e-12)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_memory_is_linear_in_nodes_and_edges(self):
+        rng = np.random.default_rng(11)
+        n = 5000
+        g = build_graph(rng.integers(0, n, size=(12500, 2)), n)
+        z = rng.normal(size=(n, 16))
+        sampler = NegativeSampler(g, 0)
+        tracemalloc.start()
+        try:
+            structural_regularizer(z, g, sampler, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10
 
     def test_requires_edges_and_valid_k(self):
         g = build_graph([], 3)

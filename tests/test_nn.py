@@ -173,6 +173,17 @@ class TestSigmoid:
         x = np.linspace(-30, 30, 1001)
         assert np.allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
 
+    def test_bit_equal_to_two_branch_formula_on_edge_values(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                      5e-324, -5e-324, tiny, -tiny, tiny / 3, -tiny / 3,
+                      1.0, -1.0, 36.7, -36.7, 709.0, -709.0, 745.2, -745.2,
+                      1e300, -1e300])
+        x = np.concatenate([x, np.random.default_rng(12).normal(scale=20.0, size=1000)])
+        e = np.exp(-np.abs(x))
+        two_branch = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(sigmoid(x).view(np.uint64), two_branch.view(np.uint64))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
