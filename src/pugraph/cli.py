@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .data import build_dataset, load_jsonl, make_sbm_dataset, save_jsonl
-from .errors import ConfigError, InputError, NumericError, TrainingAbort
+from .errors import (EXIT_CODES, ConfigError, InputError, TrainingAbort,
+                     error_kind)
 from .evaluate import (DEFAULT_RATIOS, MAIN_METHODS, aggregate, macro_f1,
                        run_ablation, run_grid, run_sensitivity,
                        write_results_csv)
@@ -229,6 +230,13 @@ def cmd_sweep(args) -> int:
     failures = [r for r in results if r.error]
     print(f"sweep {args.kind}: {len(results) - len(failures)} runs ok, "
           f"{len(failures)} failed, out={out_dir}")
+    if failures:
+        # the first failed run in grid order sets the exit code; an error
+        # the CLI does not map exits 1, as an uncaught exception would
+        kind = failures[0].error_kind
+        return _fail(kind or "internal", EXIT_CODES.get(kind, 1),
+                     f"{len(failures)} of {len(results)} runs failed; "
+                     f"first: {failures[0].error}")
     return 0
 
 
@@ -373,14 +381,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail("config", 1, str(exc))
-    except FileNotFoundError as exc:
-        return _fail("data", 2, str(exc))
-    except InputError as exc:
-        return _fail("data", 2, str(exc))
-    except (NumericError, TrainingAbort) as exc:
-        return _fail("numeric", 3, str(exc))
+    except Exception as exc:
+        kind = error_kind(exc)
+        if kind is None:
+            raise
+        return _fail(kind, EXIT_CODES[kind], str(exc))
 
 
 if __name__ == "__main__":

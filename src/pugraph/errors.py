@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, InputError and
-ParseError -> 2, NumericError / TrainingAbort -> 3.
+The CLI maps these onto exit codes through error_kind and EXIT_CODES:
+ConfigError -> 1, InputError, ParseError and FileNotFoundError -> 2,
+NumericError / TrainingAbort -> 3.
 """
 
 
@@ -39,3 +40,17 @@ class TrainingAbort(RuntimeError):
         self.epoch = epoch
         self.last_good = last_good
         self.records = list(records or [])
+
+
+EXIT_CODES = {"config": 1, "data": 2, "numeric": 3}
+
+
+def error_kind(exc: BaseException) -> str | None:
+    """The EXIT_CODES key of an exception, or None if the CLI does not map it."""
+    if isinstance(exc, ConfigError):
+        return "config"
+    if isinstance(exc, (InputError, FileNotFoundError)):
+        return "data"
+    if isinstance(exc, (NumericError, TrainingAbort)):
+        return "numeric"
+    return None

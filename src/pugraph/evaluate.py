@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import build_dataset
-from .errors import InputError
+from .errors import InputError, error_kind
 from .graph import normalize_adjacency
 from .losses import LossConfig
 from .nn import forward_from_propagated
@@ -66,6 +66,7 @@ class ExperimentResult:
     wall_time: float
     config: dict
     error: str | None = None
+    error_kind: str | None = None  # EXIT_CODES key of the error, if mapped
 
 
 def confusion_counts(y_hat: np.ndarray, true_label: np.ndarray,
@@ -153,7 +154,8 @@ def _run_cell(args) -> ExperimentResult:
         cell.update(cell_extra or {})
         return ExperimentResult(cell, seed, float("nan"), float("nan"),
                                 float("nan"), None, 0.0, {},
-                                error=f"{type(exc).__name__}: {exc}")
+                                error=f"{type(exc).__name__}: {exc}",
+                                error_kind=error_kind(exc))
 
 
 def _run_jobs(jobs_spec: list, jobs: int) -> list[ExperimentResult]:
@@ -218,7 +220,10 @@ def run_sensitivity(manifest: dict, ratio: float = 0.002, seeds=range(5),
 
 
 def aggregate(results: list[ExperimentResult]) -> list[dict]:
-    """Group by cell, report mean and sample (n-1) std of the macro F1."""
+    """Group by cell, report mean and sample (n-1) std of the macro F1.
+
+    A cell with no successful run has mean and std None (null in JSON).
+    """
     groups: dict[tuple, list[ExperimentResult]] = {}
     for r in results:
         key = tuple(sorted(r.cell.items()))
@@ -227,11 +232,12 @@ def aggregate(results: list[ExperimentResult]) -> list[dict]:
     for key in sorted(groups, key=str):
         ok = [r for r in groups[key] if r.error is None]
         scores = np.array([r.macro_f1 for r in ok])
+        std = float(scores.std(ddof=1)) if len(ok) > 1 else 0.0
         row = dict(key)
         row.update({
             "n": len(ok),
-            "mean": float(scores.mean()) if ok else float("nan"),
-            "std": float(scores.std(ddof=1)) if len(ok) > 1 else 0.0,
+            "mean": float(scores.mean()) if ok else None,
+            "std": std if ok else None,
             "errors": [r.error for r in groups[key] if r.error is not None],
         })
         rows.append(row)

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import InputError
 
 UNREACHABLE = np.inf
+_GATHER_ELEMS = 1 << 21  # matmul: elements of one (nnz x block) gather
+_PAIR_CHUNK = 1 << 20    # generate_sbm: node pairs drawn per chunk
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,13 @@ class NormalizedAdjacency:
     indices: np.ndarray
     weights: np.ndarray  # float64
 
-    def matmul(self, dense: np.ndarray, block: int = 256) -> np.ndarray:
-        """Sparse-dense product, column-blocked to bound the gather temporary.
+    def matmul(self, dense: np.ndarray) -> np.ndarray:
+        """Sparse-dense product over blocks of columns.
 
-        Every row has at least the self-loop entry, which np.add.reduceat
-        requires (empty segments would repeat the next segment's value).
+        The block width is chosen so that the (nnz x width) gather holds at
+        most _GATHER_ELEMS elements, whatever the number of columns. Every
+        row has at least the self-loop entry, which np.add.reduceat requires
+        (empty segments would repeat the next segment's value).
         """
         if dense.shape[0] != self.num_nodes:
             raise InputError(
@@ -76,10 +80,12 @@ class NormalizedAdjacency:
             dense = dense[:, None]
         out = np.empty((self.num_nodes, dense.shape[1]), dtype=np.float64)
         starts = self.indptr[:-1]
+        block = max(1, _GATHER_ELEMS // self.indices.size)
         for lo in range(0, dense.shape[1], block):
             hi = min(lo + block, dense.shape[1])
-            prod = self.weights[:, None] * dense[self.indices, lo:hi]
-            out[:, lo:hi] = np.add.reduceat(prod, starts, axis=0)
+            prod = dense[self.indices, lo:hi]
+            prod *= self.weights[:, None]
+            np.add.reduceat(prod, starts, axis=0, out=out[:, lo:hi])
         return out[:, 0] if squeeze else out
 
     def to_dense(self) -> np.ndarray:
@@ -143,22 +149,16 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
 
     An isolated node keeps weight 1.0 on its self-loop.
     """
-    d = g.degrees.astype(np.float64) + 1.0
     n = g.num_nodes
+    d = g.degrees.astype(np.float64) + 1.0
+    nodes = np.arange(n, dtype=np.int64)
+    src, dst = g.directed_edges()
+    src, dst = np.concatenate([src, nodes]), np.concatenate([dst, nodes])
+    order = np.lexsort((dst, src))
+    src, indices = src[order], dst[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(g.degrees + 1)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    weights = np.empty(indptr[-1], dtype=np.float64)
-    for i in range(n):
-        row = np.empty(g.degrees[i] + 1, dtype=np.int64)
-        nbrs = g.neighbors(i)
-        pos = np.searchsorted(nbrs, i)
-        row[:pos] = nbrs[:pos]
-        row[pos] = i
-        row[pos + 1:] = nbrs[pos:]
-        s, e = indptr[i], indptr[i + 1]
-        indices[s:e] = row
-        weights[s:e] = 1.0 / np.sqrt(d[i] * d[row])
+    np.cumsum(g.degrees + 1, out=indptr[1:])
+    weights = 1.0 / np.sqrt(d[src] * d[indices])
     return NormalizedAdjacency(n, indptr, indices, weights)
 
 
@@ -201,8 +201,13 @@ def generate_sbm(n_pos: int, n_neg: int, p_intra: float, p_inter: float,
                  seed: int) -> tuple[Graph, np.ndarray]:
     """Two-block stochastic block model; nodes [0, n_pos) form the positive block.
 
-    Each unordered pair draws one Bernoulli from a Philox (counter-based)
-    generator, so the same seed always regenerates the identical graph.
+    Each unordered pair (i, j), i < j, draws one uniform from a Philox
+    (counter-based) generator in row-major upper-triangle order, and is an
+    edge if the uniform is below p_intra (same block) or p_inter (different
+    blocks); the same seed always regenerates the identical graph. The
+    uniforms are drawn _PAIR_CHUNK pairs at a time: consecutive draws
+    continue the generator's stream, so the chunks reproduce one draw over
+    all n(n-1)/2 pairs while memory stays O(n + E + chunk).
     Returns the graph and per-node binary labels (1 = positive block).
     """
     for name, p in (("p_intra", p_intra), ("p_inter", p_inter)):
@@ -214,11 +219,22 @@ def generate_sbm(n_pos: int, n_neg: int, p_intra: float, p_inter: float,
         raise InputError("both blocks need at least one node")
     n = n_pos + n_neg
     rng = np.random.Generator(np.random.Philox(seed))
-    iu, ju = np.triu_indices(n, k=1)
-    same = (iu < n_pos) == (ju < n_pos)
-    p_edge = np.where(same, p_intra, p_inter)
-    keep = rng.random(iu.size) < p_edge
-    graph = build_graph(np.column_stack([iu[keep], ju[keep]]), n)
+    # row i holds the pairs (i, i+1..n-1); row_start[i] is the index of its first
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
+    total = n * (n - 1) // 2
+    rows, cols = [], []
+    for lo in range(0, total, _PAIR_CHUNK):
+        u = rng.random(min(_PAIR_CHUNK, total - lo))
+        # p_inter <= p_intra, so every edge is among the draws below p_intra
+        hit = np.flatnonzero(u < p_intra)
+        pair = hit + lo
+        i = np.searchsorted(row_start, pair, side="right") - 1
+        j = pair - row_start[i] + i + 1
+        keep = ((i < n_pos) == (j < n_pos)) | (u[hit] < p_inter)
+        rows.append(i[keep])
+        cols.append(j[keep])
+    graph = build_graph(np.column_stack([np.concatenate(rows), np.concatenate(cols)]), n)
     labels = np.zeros(n, dtype=np.int64)
     labels[:n_pos] = 1
     return graph, labels

@@ -62,24 +62,33 @@ class NegativeSampler:
         src, dst = graph.directed_edges()
         self._edge_keys = src * graph.num_nodes + dst  # sorted by CSR order
 
+    def _rejected(self, queries: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Mask of the draws that hit the query itself or one of its neighbors."""
+        bad = cand == queries
+        if self._edge_keys.size:
+            keys = queries * self.graph.num_nodes
+            keys += cand
+            pos = np.searchsorted(self._edge_keys, keys)
+            # "clip" maps the past-the-end position to the last key and,
+            # unlike "raise", writes into pos without a buffered copy
+            np.take(self._edge_keys, pos, out=pos, mode="clip")
+            bad |= pos == keys
+        return bad
+
     def _draw(self, queries: np.ndarray) -> np.ndarray:
-        """One valid draw per entry of `queries` (flat array of node ids)."""
+        """One valid draw per entry of `queries` (flat array of node ids).
+
+        Every entry draws once; only the rejected entries draw again, in
+        order, until none is left.
+        """
         n = self.graph.num_nodes
-        out = np.empty(queries.size, dtype=np.int64)
-        pending = np.arange(queries.size)
+        out = self.rng.integers(0, n, size=queries.size)
+        pending = np.flatnonzero(self._rejected(queries, out))
         while pending.size:
             cand = self.rng.integers(0, n, size=pending.size)
-            q = queries[pending]
-            if self._edge_keys.size:
-                keys = q * n + cand
-                pos = np.searchsorted(self._edge_keys, keys)
-                pos_c = np.minimum(pos, self._edge_keys.size - 1)
-                is_neighbor = self._edge_keys[pos_c] == keys
-            else:
-                is_neighbor = np.zeros(pending.size, dtype=bool)
-            ok = (cand != q) & ~is_neighbor
-            out[pending[ok]] = cand[ok]
-            pending = pending[~ok]
+            bad = self._rejected(queries[pending], cand)
+            out[pending[~bad]] = cand[~bad]
+            pending = pending[bad]
         return out
 
     def sample(self, node: int, k: int) -> np.ndarray:

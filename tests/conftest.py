@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,16 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
     return build_graph(np.column_stack([iu[keep], ju[keep]]), n)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak, in bytes, of what it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:

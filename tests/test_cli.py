@@ -95,3 +95,59 @@ class TestSweepCommand:
         with open(out_dir / "runs.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert sorted(r["method"] for r in rows) == sorted(MAIN_METHODS)
+
+    def test_failed_cell_exits_with_its_code_and_writes_strict_json(self, tmp_path, capsys):
+        # naive passes pi_hat = pi_breve; the pugnn cell's distance-aware loss rejects it
+        config_path = write_config(tmp_path, train={"epochs": 10}, loss={
+            "kind": "naive", "delta": 2, "k": 5, "pi_hat": 0.3, "pi_breve": 0.3})
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "main", "--config", str(config_path), "--out", str(out_dir),
+                     "--seeds", "1", "--ratios", "0.02"])
+        assert code == 1
+        assert "pugraph-error kind=config" in capsys.readouterr().err
+
+        def reject(constant):
+            raise ValueError(f"aggregate.json holds {constant}")
+
+        text = (out_dir / "aggregate.json").read_text()
+        rows = {r["method"]: r for r in json.loads(text, parse_constant=reject)["rows"]}
+        assert rows["pugnn"]["n"] == 0
+        assert rows["pugnn"]["mean"] is None and rows["pugnn"]["std"] is None
+        assert rows["pugnn"]["errors"][0].startswith("ConfigError")
+        assert all(rows[m]["n"] == 1 for m in MAIN_METHODS if m != "pugnn")
+
+
+class TestPartitionCommand:
+    def test_sbm_exits_0_with_a_row_per_delta(self, tmp_path, capsys):
+        code = main(["partition", "--config", str(write_config(tmp_path))])
+        assert code == 0
+        table = capsys.readouterr().out.split("delta  |near V_U|  |far V_U|\n")[1]
+        assert [int(line.split()[0]) for line in table.splitlines()] == list(range(1, 7))
+
+    def test_missing_jsonl_file_exits_2(self, tmp_path, capsys):
+        manifest = {"name": "missing", "format": "jsonl",
+                    "path": str(tmp_path / "no_such_file.jsonl"),
+                    "positive_classes": ["pos"], "train_fraction": 0.1, "split_seed": 0}
+        code = main(["partition", "--config", str(write_config(tmp_path, dataset=manifest))])
+        assert code == 2
+        assert "pugraph-error kind=data" in capsys.readouterr().err
+
+
+class TestGenSynthCommand:
+    def test_writes_a_dataset_that_partition_reads(self, tmp_path, capsys):
+        out = tmp_path / "sbm.jsonl"
+        code = main(["gen-synth", "--out", str(out), "--n-pos", "50", "--n-neg", "50",
+                     "--p-intra", "0.12", "--p-inter", "0.01", "--seed", "7"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "sbm.jsonl.manifest.json").read_text())
+        assert main(["partition", "--config",
+                     str(write_config(tmp_path, dataset=manifest))]) == 0
+        assert "100 nodes" in capsys.readouterr().out
+
+    def test_p_inter_above_p_intra_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sbm.jsonl"
+        code = main(["gen-synth", "--out", str(out), "--n-pos", "50", "--n-neg", "50",
+                     "--p-intra", "0.01", "--p-inter", "0.12"])
+        assert code == 1
+        assert "pugraph-error kind=config" in capsys.readouterr().err
+        assert not out.exists()

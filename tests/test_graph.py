@@ -2,10 +2,30 @@ import numpy as np
 import pytest
 
 from pugraph.errors import InputError
-from pugraph.graph import (build_graph, generate_sbm, multi_source_bfs,
-                           normalize_adjacency, partition_unlabeled)
+from pugraph.graph import (NormalizedAdjacency, build_graph, generate_sbm,
+                           multi_source_bfs, normalize_adjacency,
+                           partition_unlabeled)
 
-from conftest import floyd_warshall, random_graph
+from conftest import floyd_warshall, random_graph, traced_peak
+
+
+def assert_bit_equal(a, b, arrays=("indptr", "indices")):
+    """Same node count and the same dtype and values in each named array."""
+    assert a.num_nodes == b.num_nodes
+    for name in arrays:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+def hub_graph(rng, n, p):
+    """Random graph plus a hub joined to most nodes and a 12-clique, so some
+    rows are longer than numpy's pairwise-summation block of 128."""
+    g = random_graph(rng, n, p)
+    src, dst = g.directed_edges()
+    extra = [(0, j) for j in range(1, n - 3)]
+    extra += [(i, j) for i in range(1, 13) for j in range(i + 1, 13)]
+    return build_graph(np.concatenate([np.column_stack([src, dst]), extra]), n)
 
 
 class TestBuildGraph:
@@ -72,6 +92,79 @@ class TestNormalizeAdjacency:
             na = normalize_adjacency(g)
             x = rng.normal(size=(13, 7))
             assert np.allclose(na.matmul(x), na.to_dense() @ x, atol=1e-12)
+
+
+def reference_normalize_adjacency(g):
+    """The per-node loop normalize_adjacency replaced, kept verbatim."""
+    d = g.degrees.astype(np.float64) + 1.0
+    n = g.num_nodes
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(g.degrees + 1)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    weights = np.empty(indptr[-1], dtype=np.float64)
+    for i in range(n):
+        row = np.empty(g.degrees[i] + 1, dtype=np.int64)
+        nbrs = g.neighbors(i)
+        pos = np.searchsorted(nbrs, i)
+        row[:pos] = nbrs[:pos]
+        row[pos] = i
+        row[pos + 1:] = nbrs[pos:]
+        s, e = indptr[i], indptr[i + 1]
+        indices[s:e] = row
+        weights[s:e] = 1.0 / np.sqrt(d[i] * d[row])
+    return NormalizedAdjacency(n, indptr, indices, weights)
+
+
+def reference_matmul(adj, dense, block=256):
+    """The 256-column matmul that the element-bounded gather replaced; its
+    loop is kept verbatim."""
+    squeeze = dense.ndim == 1
+    if squeeze:
+        dense = dense[:, None]
+    out = np.empty((adj.num_nodes, dense.shape[1]), dtype=np.float64)
+    starts = adj.indptr[:-1]
+    for lo in range(0, dense.shape[1], block):
+        hi = min(lo + block, dense.shape[1])
+        prod = adj.weights[:, None] * dense[adj.indices, lo:hi]
+        out[:, lo:hi] = np.add.reduceat(prod, starts, axis=0)
+    return out[:, 0] if squeeze else out
+
+
+class TestAgainstReplacedImplementations:
+    def test_normalize_adjacency_bit_equal_to_per_node_loop(self):
+        rng = np.random.default_rng(11)
+        clique_and_isolated = build_graph(
+            [(i, j) for i in range(6) for j in range(i + 1, 6)], 9)
+        graphs = [build_graph([], 1), build_graph([], 4), clique_and_isolated,
+                  generate_sbm(30, 20, 1.0, 0.0, 0)[0],
+                  generate_sbm(700, 800, 0.01, 0.002, 1)[0]]
+        graphs += [random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0, 0.6)))
+                   for _ in range(20)]
+        for g in graphs:
+            assert_bit_equal(normalize_adjacency(g), reference_normalize_adjacency(g),
+                             ("indptr", "indices", "weights"))
+
+    @pytest.mark.parametrize("gather_elems", [None, 5_000, 1])
+    def test_matmul_bit_equal_to_256_column_blocks(self, monkeypatch, gather_elems):
+        # None keeps the module's bound; 5,000 splits every width into blocks
+        # of a few columns; 1 (below nnz) forces one column per block
+        if gather_elems is not None:
+            monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", gather_elems)
+        rng = np.random.default_rng(12)
+        adj = normalize_adjacency(hub_graph(rng, 300, 0.05))
+        for width in (1, 7, 16, 255, 256, 300, 600):
+            x = rng.normal(size=(300, width))
+            assert np.array_equal(adj.matmul(x), reference_matmul(adj, x)), width
+        x = rng.normal(size=300)
+        assert np.array_equal(adj.matmul(x), reference_matmul(adj, x))
+
+    def test_matmul_wide_operand_gathers_a_bounded_block(self):
+        # reference_matmul peaks at 280 MB here: a (nnz x 256) gather and its weighted copy
+        g, _ = generate_sbm(4000, 4000, 1.0 / 1000, 1.0 / 8000, 101)
+        adj = normalize_adjacency(g)
+        x = np.random.default_rng(13).normal(size=(8000, 500))
+        out, peak = traced_peak(adj.matmul, x)
+        assert peak < 2 * out.nbytes + 32 * 2**20
 
 
 class TestMultiSourceBfs:
@@ -157,6 +250,17 @@ class TestPartitionUnlabeled:
             partition_unlabeled(g, {0}, 0)
 
 
+def reference_generate_sbm(n_pos, n_neg, p_intra, p_inter, seed):
+    """The all-pairs draw that generate_sbm replaced, kept verbatim; graph only."""
+    n = n_pos + n_neg
+    rng = np.random.Generator(np.random.Philox(seed))
+    iu, ju = np.triu_indices(n, k=1)
+    same = (iu < n_pos) == (ju < n_pos)
+    p_edge = np.where(same, p_intra, p_inter)
+    keep = rng.random(iu.size) < p_edge
+    return build_graph(np.column_stack([iu[keep], ju[keep]]), n)
+
+
 class TestGenerateSbm:
     def test_degenerate_probabilities_give_cliques(self):
         g, labels = generate_sbm(50, 50, 1.0, 0.0, 0)
@@ -191,6 +295,29 @@ class TestGenerateSbm:
         assert np.array_equal(l1, l2)
         g3, _ = generate_sbm(60, 40, 0.08, 0.01, 43)
         assert not np.array_equal(g1.indices, g3.indices)
+
+    @pytest.mark.parametrize("args", [
+        (50, 50, 1.0, 0.0, 0),      # p = 1 within blocks, p = 0 between
+        (30, 45, 0.0, 0.0, 3),      # no edges
+        (20, 25, 1.0, 1.0, 4),      # complete graph
+        (1, 1, 0.5, 0.5, 9),        # a single pair
+        (60, 40, 0.08, 0.01, 42),
+        (37, 1463, 0.01, 0.003, 5),  # unequal blocks, 1.12M pairs: two chunks
+        (1000, 1000, 0.004, 0.004, 6),  # two chunks, p_inter = p_intra
+    ])
+    def test_bit_equal_to_all_pairs_draw(self, args):
+        assert_bit_equal(generate_sbm(*args)[0], reference_generate_sbm(*args))
+
+    def test_bit_equal_with_chunks_that_split_rows(self, monkeypatch):
+        # 4,950 pairs in chunks of 97: boundaries fall mid-row, last chunk short
+        monkeypatch.setattr("pugraph.graph._PAIR_CHUNK", 97)
+        for args in ((55, 45, 0.2, 0.05, 8), (70, 30, 1.0, 0.0, 2)):
+            assert_bit_equal(generate_sbm(*args)[0], reference_generate_sbm(*args))
+
+    def test_memory_is_linear_in_nodes_and_edges(self):
+        # reference_generate_sbm allocates about 1 GB of all-pairs arrays here
+        _, peak = traced_peak(generate_sbm, 4000, 4000, 1.0 / 1000, 1.0 / 8000, 101)
+        assert peak < 64 * 2**20
 
     def test_invalid_parameters(self):
         with pytest.raises(InputError):

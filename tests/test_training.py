@@ -11,7 +11,7 @@ from pugraph.nn import (Y_EPS, forward_from_propagated, gcn_backward,
 from pugraph.train import (Adam, NegativeSampler, TrainConfig,
                            sample_negatives, train)
 
-from conftest import small_manifest
+from conftest import random_graph, small_manifest, traced_peak
 
 
 class TestAdam:
@@ -74,7 +74,65 @@ class TestAdam:
         assert np.allclose(params2.values["W1"], w0 * (1.0 - 0.1 * 0.5), atol=1e-12)
 
 
+class ReferenceRejectionSampler:
+    """The rejection loop NegativeSampler._draw replaced, kept verbatim."""
+
+    def __init__(self, graph, seed):
+        self.graph = graph
+        self.rng = np.random.default_rng(seed)
+        src, dst = graph.directed_edges()
+        self._edge_keys = src * graph.num_nodes + dst
+
+    def _draw(self, queries: np.ndarray) -> np.ndarray:
+        n = self.graph.num_nodes
+        out = np.empty(queries.size, dtype=np.int64)
+        pending = np.arange(queries.size)
+        while pending.size:
+            cand = self.rng.integers(0, n, size=pending.size)
+            q = queries[pending]
+            if self._edge_keys.size:
+                keys = q * n + cand
+                pos = np.searchsorted(self._edge_keys, keys)
+                pos_c = np.minimum(pos, self._edge_keys.size - 1)
+                is_neighbor = self._edge_keys[pos_c] == keys
+            else:
+                is_neighbor = np.zeros(pending.size, dtype=bool)
+            ok = (cand != q) & ~is_neighbor
+            out[pending[ok]] = cand[ok]
+            pending = pending[~ok]
+        return out
+
+
 class TestNegativeSampler:
+    def test_draw_stream_bit_equal_to_rejection_loop(self):
+        rng = np.random.default_rng(21)
+        star = build_graph([(0, i) for i in range(1, 40)], 41)  # leaves reject often
+        # node 0 has one non-neighbor: its draws take many rounds
+        near_complete = build_graph(
+            [(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) != (0, 11)], 12)
+        graphs = [star, near_complete, build_graph([], 6), random_graph(rng, 80, 0.1)]
+        for g in graphs:
+            new, ref = NegativeSampler(g, 5), ReferenceRejectionSampler(g, 5)
+            src, dst = g.directed_edges()
+            ok = new.non_neighbor_counts[src] > 0
+            src, dst = src[ok], dst[ok]
+            # consecutive calls continue one stream
+            for k in (1, 7, 30):
+                want = ref._draw(np.repeat(src, k)).reshape(src.size, k)
+                assert np.array_equal(new.edge_negatives(src, dst, k), want)
+            for node in (0, g.num_nodes - 1):
+                want = ref._draw(np.full(200, node, dtype=np.int64))
+                assert np.array_equal(new.sample(node, 200), want)
+
+    def test_edge_negatives_memory_is_a_few_times_its_output(self):
+        # the reference rejection loop peaks at about 10x the returned array
+        rng = np.random.default_rng(22)
+        g = build_graph(rng.integers(0, 5000, size=(12_500, 2)), 5000)
+        sampler = NegativeSampler(g, 0)
+        src, dst = g.directed_edges()
+        draws, peak = traced_peak(sampler.edge_negatives, src, dst, 50)
+        assert peak < 6 * draws.nbytes
+
     def test_star_leaf_excludes_center_and_self(self):
         g = build_graph([(0, i) for i in range(1, 6)], 6)
         sampler = NegativeSampler(g, 0)
