@@ -8,8 +8,9 @@ regularizer that aligns representation similarity with the graph.
 
 __version__ = "0.1.0"
 
-from .data import BinaryMapping, PUDataset, build_dataset, make_pu_split
-from .evaluate import macro_f1, run_ablation, run_grid, run_sensitivity
+from .data import (BinaryMapping, PreparedDataset, PUDataset, build_dataset,
+                   make_pu_split, prepare_dataset)
+from .evaluate import macro_f1, run_ablation, run_grid, run_sensitivity, score
 from .graph import (DistancePartition, Graph, NormalizedAdjacency, build_graph,
                     generate_sbm, multi_source_bfs, normalize_adjacency,
                     partition_unlabeled)
@@ -19,12 +20,13 @@ from .losses import (LossConfig, LossValue, combined_objective,
 from .nn import (ForwardCache, ParamStore, gcn_backward, gcn_forward,
                  init_params, load_checkpoint, pairwise_similarity,
                  save_checkpoint)
-from .train import Adam, NegativeSampler, TrainConfig, sample_negatives, train
+from .train import Adam, NegativeSampler, TrainConfig, train
 
 __all__ = [
     "__version__",
-    "BinaryMapping", "PUDataset", "build_dataset", "make_pu_split",
-    "macro_f1", "run_ablation", "run_grid", "run_sensitivity",
+    "BinaryMapping", "PreparedDataset", "PUDataset", "build_dataset",
+    "make_pu_split", "prepare_dataset",
+    "macro_f1", "run_ablation", "run_grid", "run_sensitivity", "score",
     "DistancePartition", "Graph", "NormalizedAdjacency", "build_graph",
     "generate_sbm", "multi_source_bfs", "normalize_adjacency",
     "partition_unlabeled",
@@ -32,5 +34,5 @@ __all__ = [
     "distpu_loss", "naive_loss", "nnpu_loss", "structural_regularizer",
     "ForwardCache", "ParamStore", "gcn_backward", "gcn_forward",
     "init_params", "load_checkpoint", "pairwise_similarity", "save_checkpoint",
-    "Adam", "NegativeSampler", "TrainConfig", "sample_negatives", "train",
+    "Adam", "NegativeSampler", "TrainConfig", "train",
 ]

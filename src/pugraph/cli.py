@@ -28,12 +28,11 @@ from . import __version__
 from .data import build_dataset, load_jsonl, make_sbm_dataset, save_jsonl
 from .errors import (EXIT_CODES, ConfigError, InputError, TrainingAbort,
                      error_kind)
-from .evaluate import (DEFAULT_RATIOS, MAIN_METHODS, aggregate, macro_f1,
-                       run_ablation, run_grid, run_sensitivity,
-                       write_results_csv)
-from .graph import normalize_adjacency, partition_unlabeled
+from .evaluate import (DEFAULT_RATIOS, MAIN_METHODS, aggregate, run_ablation,
+                       run_grid, run_sensitivity, score, write_results_csv)
+from .graph import partition_unlabeled
 from .losses import LossConfig
-from .nn import forward_from_propagated, load_checkpoint, save_checkpoint
+from .nn import load_checkpoint, save_checkpoint
 from .published import external_rows
 from .train import TrainConfig, train
 
@@ -176,18 +175,13 @@ def cmd_train(args) -> int:
         raise
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), params)
     _write_train_log(out_dir, records)
-    adj = normalize_adjacency(dataset.graph)
-    cache = forward_from_propagated(adj, adj.matmul(dataset.features), params)
-    metrics = macro_f1(cache.y_hat, dataset.true_label, dataset.test_mask)
+    metrics = score(dataset, params)
     _write_json(os.path.join(out_dir, "result.json"), {
         "dataset": manifest.get("name", "unnamed"),
         "seed": seed,
         "label_ratio": label_ratio,
         "loss": asdict(loss_cfg),
-        "macro_f1": metrics.macro_f1,
-        "f1_pos": metrics.f1_pos,
-        "f1_neg": metrics.f1_neg,
-        "confusion": asdict(metrics.confusion),
+        **asdict(metrics),
         "wall_time_s": time.perf_counter() - t0,
         "threads": _thread_note(),
         "tool_version": __version__,
@@ -294,17 +288,11 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else int(config.get("train", {}).get("seed", 0))
     delta = int(config.get("loss", {}).get("delta", LossConfig.delta))
     dataset = build_dataset(manifest, label_ratio, seed, delta)
-    params = load_checkpoint(args.checkpoint)
-    adj = normalize_adjacency(dataset.graph)
-    cache = forward_from_propagated(adj, adj.matmul(dataset.features), params)
-    metrics = macro_f1(cache.y_hat, dataset.true_label, dataset.test_mask)
+    metrics = score(dataset, load_checkpoint(args.checkpoint))
     payload = {
         "dataset": manifest.get("name", "unnamed"),
         "checkpoint": os.path.abspath(args.checkpoint),
-        "macro_f1": metrics.macro_f1,
-        "f1_pos": metrics.f1_pos,
-        "f1_neg": metrics.f1_neg,
-        "confusion": asdict(metrics.confusion),
+        **asdict(metrics),
     }
     if args.out:
         _write_json(args.out, payload)

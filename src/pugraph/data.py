@@ -10,10 +10,16 @@ Two on-disk formats are supported:
 
 Both loaders produce the same triple (Graph, features, class labels) with
 node order equal to file order and the adjacency symmetrized.
+
+`prepare_dataset` does once per manifest what no run draws: load, binarize,
+normalize, split. `build_dataset` draws one run's PU mask and partition from
+that PreparedDataset, which also keeps the propagated features that training
+builds on first use (`train.propagate`) and scoring reuses.
 """
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +46,32 @@ class BinaryMapping:
 
 
 @dataclass
-class PUDataset:
-    """Everything one training run consumes; immutable by convention."""
+class PreparedDataset:
+    """What every run on one manifest shares; `propagation` is (A_hat,
+    A_hat @ X) once `train.propagate` has built it."""
 
+    manifest: dict
     graph: Graph
     features: np.ndarray        # num_nodes x feature_dim, float64
     true_label: np.ndarray      # per-node {0, 1}
-    labeled_mask: np.ndarray    # bool; the known positives, subset of train_mask
     train_mask: np.ndarray      # bool
     test_mask: np.ndarray       # bool, complement of train_mask
+    propagation: tuple | None = None
+
+
+@dataclass
+class PUDataset:
+    """Everything one training run consumes; immutable by convention."""
+
+    prepared: PreparedDataset
+    labeled_mask: np.ndarray    # bool; the known positives, subset of train_mask
     partition: DistancePartition
+
+    graph = property(lambda self: self.prepared.graph)
+    features = property(lambda self: self.prepared.features)
+    true_label = property(lambda self: self.prepared.true_label)
+    train_mask = property(lambda self: self.prepared.train_mask)
+    test_mask = property(lambda self: self.prepared.test_mask)
 
     @property
     def num_nodes(self) -> int:
@@ -64,8 +86,9 @@ class PUDataset:
 def load_content_cites(content_path, cites_path):
     """Parse the citation format; returns (Graph, features, class labels)."""
     ids: list[str] = []
-    rows: list[list[float]] = []
     labels: list[str] = []
+    rows: list[str] = []      # the non-blank lines, parsed by np.loadtxt below
+    linenos: list[int] = []   # file line of each entry of rows
     width = None
     with open(content_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -81,16 +104,20 @@ def load_content_cites(content_path, cites_path):
                 raise ParseError(
                     f"expected {width} columns, found {len(fields)}",
                     str(content_path), lineno)
-            try:
-                feats = [float(x) for x in fields[1:-1]]
-            except ValueError as exc:
-                raise ParseError(f"non-numeric feature value: {exc}",
-                                 str(content_path), lineno) from None
             ids.append(fields[0])
-            rows.append(feats)
             labels.append(fields[-1])
+            rows.append(line)
+            linenos.append(lineno)
     if not ids:
         raise InputError(f"{content_path}: content file has no rows")
+    try:
+        features = np.loadtxt(rows, dtype=np.float64, comments=None,
+                              usecols=range(1, width - 1), ndmin=2)
+    except ValueError as exc:
+        # loadtxt counts rows from 0 over the lines it was given
+        row = re.search(r"at row (\d+)", str(exc))
+        raise ParseError(f"non-numeric feature value: {exc}", str(content_path),
+                         linenos[int(row.group(1))] if row else 0) from None
     index = {node_id: i for i, node_id in enumerate(ids)}
     if len(index) != len(ids):
         raise InputError(f"{content_path}: duplicate node ids in content file")
@@ -113,7 +140,7 @@ def load_content_cites(content_path, cites_path):
         log.warning("%s: skipped %d cites rows referencing unknown node ids",
                     cites_path, skipped)
     graph = build_graph(edges, len(ids))
-    return graph, np.asarray(rows, dtype=np.float64), labels
+    return graph, features, labels
 
 
 def load_jsonl(path):
@@ -273,14 +300,10 @@ def load_source(manifest: dict):
     raise InputError(f"unknown dataset format {fmt!r}")
 
 
-def build_dataset(manifest: dict, label_ratio: float, seed: int,
-                  delta: int) -> PUDataset:
-    """Assemble a ready-to-train PUDataset from a dataset manifest.
-
-    The PU mask is drawn with `seed`; the train/test split uses the
-    manifest's own `split_seed` so repeats share the split but resample the
-    mask. The distance partition is built with the given delta.
-    """
+def prepare_dataset(manifest: dict) -> PreparedDataset:
+    """Load a manifest's source and fix what no run draws: the binary labels,
+    the (optionally row-normalized) features and the train/test split, which
+    uses the manifest's own `split_seed` so every run shares it."""
     graph, features, labels = load_source(manifest)
     vocab = class_vocabulary(labels)
     positive_names = manifest.get("positive_classes")
@@ -298,14 +321,14 @@ def build_dataset(manifest: dict, label_ratio: float, seed: int,
     train_mask, test_mask = make_train_test_split(
         graph.num_nodes, resolve_train_count(graph.num_nodes, manifest),
         int(manifest.get("split_seed", 0)))
-    labeled_mask = make_pu_split(binary, train_mask, label_ratio, seed)
-    partition = partition_unlabeled(graph, np.flatnonzero(labeled_mask), delta)
-    return PUDataset(
-        graph=graph,
-        features=features,
-        true_label=binary,
-        labeled_mask=labeled_mask,
-        train_mask=train_mask,
-        test_mask=test_mask,
-        partition=partition,
-    )
+    return PreparedDataset(dict(manifest), graph, features, binary, train_mask, test_mask)
+
+
+def build_dataset(source, label_ratio: float, seed: int, delta: int) -> PUDataset:
+    """Draw one run's PUDataset from a PreparedDataset or a manifest (which is
+    prepared first): the PU mask with `seed`, the partition with `delta`."""
+    prepared = source if isinstance(source, PreparedDataset) else prepare_dataset(source)
+    labeled_mask = make_pu_split(prepared.true_label, prepared.train_mask,
+                                 label_ratio, seed)
+    partition = partition_unlabeled(prepared.graph, np.flatnonzero(labeled_mask), delta)
+    return PUDataset(prepared, labeled_mask, partition)

@@ -4,6 +4,11 @@ A grid cell is one (dataset, method, ratio, extra knobs) combination; each
 cell runs once per seed and aggregates to mean +/- sample std. Cells are
 independent jobs, so a worker pool can execute them concurrently without
 changing any result.
+
+A grid prepares its dataset once (`data.prepare_dataset`); each cell draws
+its PU mask and partition from it, so a cell's wall_time excludes the shared
+preparation, apart from A_hat @ X, built by the first cell a process trains.
+A failed preparation is recorded on every cell.
 """
 
 import csv
@@ -13,12 +18,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import build_dataset
+from .data import PreparedDataset, build_dataset, prepare_dataset
 from .errors import InputError, error_kind
-from .graph import normalize_adjacency
+from .graph import normalize_adjacency  # noqa: F401  (perfbench wraps it here)
 from .losses import LossConfig
 from .nn import forward_from_propagated
-from .train import TrainConfig, train
+from .train import TrainConfig, propagate, train
 
 MAIN_METHODS = ("naive", "nnpu", "distpu", "pugnn")
 DEFAULT_RATIOS = (0.001, 0.002, 0.005, 0.01)
@@ -117,52 +122,82 @@ def resolve_loss_config(method: str, loss_overrides: dict | None = None,
     return cfg
 
 
-def run_single(manifest: dict, method: str, ratio: float, seed: int,
+def score(dataset, params) -> MetricSummary:
+    """Test-mask metrics of a model, from the dataset's shared propagation."""
+    cache = forward_from_propagated(*propagate(dataset), params)
+    return macro_f1(cache.y_hat, dataset.true_label, dataset.test_mask)
+
+
+def _cell(manifest: dict, method: str, ratio: float, cell_extra: dict | None) -> dict:
+    return {"dataset": manifest.get("name", "unnamed"), "method": method,
+            "ratio": ratio, **(cell_extra or {})}
+
+
+def run_single(source, method: str, ratio: float, seed: int,
                train_config: TrainConfig | None = None,
                loss_overrides: dict | None = None,
                cell_extra: dict | None = None) -> ExperimentResult:
-    """Train one cell and score it on the test mask."""
+    """Train one cell on a manifest or PreparedDataset and score it on the test
+    mask. wall_time covers drawing the PU mask and partition, training and
+    scoring, and the preparation only if `source` is a manifest."""
     base = train_config or TrainConfig()
     # peek at the loss settings to know delta before building the partition
     probe = dict(METHOD_LOSS[method])
     probe.update(loss_overrides or {})
     delta = int(probe.get("delta", LossConfig.delta))
     t0 = time.perf_counter()
-    dataset = build_dataset(manifest, ratio, seed, delta)
+    dataset = build_dataset(source, ratio, seed, delta)
     loss_cfg = resolve_loss_config(method, loss_overrides, dataset.positive_prior)
     cfg = replace(base, seed=seed, loss=loss_cfg)
     params, _ = train(dataset, cfg)
-    adj = normalize_adjacency(dataset.graph)
-    cache = forward_from_propagated(adj, adj.matmul(dataset.features), params)
-    metrics = macro_f1(cache.y_hat, dataset.true_label, dataset.test_mask)
+    metrics = score(dataset, params)
     wall = time.perf_counter() - t0
-    cell = {"dataset": manifest.get("name", "unnamed"), "method": method, "ratio": ratio}
-    cell.update(cell_extra or {})
+    manifest = dataset.prepared.manifest
     snapshot = {"train": asdict(cfg), "dataset": dict(manifest)}
-    return ExperimentResult(cell, seed, metrics.macro_f1, metrics.f1_pos,
-                            metrics.f1_neg, metrics.confusion, wall, snapshot)
+    return ExperimentResult(_cell(manifest, method, ratio, cell_extra), seed,
+                            metrics.macro_f1, metrics.f1_pos, metrics.f1_neg,
+                            metrics.confusion, wall, snapshot)
 
 
-def _run_cell(args) -> ExperimentResult:
-    manifest, method, ratio, seed, train_config, loss_overrides, cell_extra = args
+def _failed(manifest: dict, spec, exc: Exception) -> ExperimentResult:
+    method, ratio, seed, _, _, cell_extra = spec
+    return ExperimentResult(_cell(manifest, method, ratio, cell_extra), seed,
+                            float("nan"), float("nan"), float("nan"), None, 0.0, {},
+                            error=f"{type(exc).__name__}: {exc}",
+                            error_kind=error_kind(exc))
+
+
+def _run_cell(prepared: PreparedDataset, spec) -> ExperimentResult:
     try:
-        return run_single(manifest, method, ratio, seed, train_config,
-                          loss_overrides, cell_extra)
+        return run_single(prepared, *spec)
     except Exception as exc:  # cell failure is recorded, the grid continues
-        cell = {"dataset": manifest.get("name", "unnamed"), "method": method,
-                "ratio": ratio}
-        cell.update(cell_extra or {})
-        return ExperimentResult(cell, seed, float("nan"), float("nan"),
-                                float("nan"), None, 0.0, {},
-                                error=f"{type(exc).__name__}: {exc}",
-                                error_kind=error_kind(exc))
+        return _failed(prepared.manifest, spec, exc)
 
 
-def _run_jobs(jobs_spec: list, jobs: int) -> list[ExperimentResult]:
+_worker_prepared: PreparedDataset | None = None  # a pool worker's, set by _init_worker
+
+
+def _init_worker(prepared: PreparedDataset):
+    global _worker_prepared
+    _worker_prepared = prepared
+
+
+def _run_worker_cell(spec) -> ExperimentResult:
+    return _run_cell(_worker_prepared, spec)
+
+
+def _run_jobs(manifest: dict, jobs_spec: list, jobs: int) -> list[ExperimentResult]:
+    """Prepare the manifest once and run every cell on it; each pool worker
+    gets the PreparedDataset once, through its initializer."""
+    try:
+        prepared = prepare_dataset(manifest)
+    except Exception as exc:  # as a cell failure would be
+        return [_failed(manifest, spec, exc) for spec in jobs_spec]
     if jobs <= 1:
-        return [_run_cell(spec) for spec in jobs_spec]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, jobs_spec))
+        return [_run_cell(prepared, spec) for spec in jobs_spec]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                             initargs=(prepared,)) as pool:
+        return list(pool.map(_run_worker_cell, jobs_spec))
 
 
 def run_grid(manifest: dict, methods=MAIN_METHODS, ratios=DEFAULT_RATIOS,
@@ -170,9 +205,9 @@ def run_grid(manifest: dict, methods=MAIN_METHODS, ratios=DEFAULT_RATIOS,
              loss_overrides: dict | None = None, jobs: int = 1,
              ) -> list[ExperimentResult]:
     """One result per (method, ratio, seed); failures recorded in-place."""
-    spec = [(manifest, m, r, s, train_config, loss_overrides, None)
+    spec = [(m, r, s, train_config, loss_overrides, None)
             for m in methods for r in ratios for s in seeds]
-    return _run_jobs(spec, jobs)
+    return _run_jobs(manifest, spec, jobs)
 
 
 def run_ablation(manifest: dict, ratios=DEFAULT_RATIOS, seeds=range(5),
@@ -189,9 +224,9 @@ def run_ablation(manifest: dict, ratios=DEFAULT_RATIOS, seeds=range(5),
         "pugnn_noreg": "pu_loss_only",
         "naive": "gcn",
     }
-    spec = [(manifest, m, r, s, train_config, None, {"variant": label})
+    spec = [(m, r, s, train_config, None, {"variant": label})
             for m, label in variants.items() for r in ratios for s in seeds]
-    return _run_jobs(spec, jobs)
+    return _run_jobs(manifest, spec, jobs)
 
 
 def run_sensitivity(manifest: dict, ratio: float = 0.002, seeds=range(5),
@@ -207,16 +242,13 @@ def run_sensitivity(manifest: dict, ratio: float = 0.002, seeds=range(5),
             if not ph > pb:
                 continue
             prior_spec.extend(
-                (manifest, "pugnn", ratio, s, train_config,
+                ("pugnn", ratio, s, train_config,
                  {"pi_hat": ph, "pi_breve": pb}, {"pi_hat": ph, "pi_breve": pb})
                 for s in seeds)
-    delta_spec = [
-        (manifest, "pugnn", ratio, s, train_config, {"delta": d}, {"delta": d})
-        for d in deltas for s in seeds]
-    return {
-        "prior": _run_jobs(prior_spec, jobs),
-        "delta": _run_jobs(delta_spec, jobs),
-    }
+    delta_spec = [("pugnn", ratio, s, train_config, {"delta": d}, {"delta": d})
+                  for d in deltas for s in seeds]
+    results = _run_jobs(manifest, prior_spec + delta_spec, jobs)
+    return {"prior": results[:len(prior_spec)], "delta": results[len(prior_spec):]}
 
 
 def aggregate(results: list[ExperimentResult]) -> list[dict]:

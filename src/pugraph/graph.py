@@ -175,7 +175,11 @@ def multi_source_bfs(g: Graph, sources) -> np.ndarray:
     hop = 0.0
     while frontier.size:
         hop += 1.0
-        cand = np.unique(np.concatenate([g.neighbors(v) for v in frontier]))
+        # CSR gather: the positions in g.indices of every frontier node's neighbors
+        starts = g.indptr[frontier]
+        counts = g.indptr[frontier + 1] - starts
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        cand = np.unique(g.indices[pos])
         frontier = cand[np.isinf(dist[cand])]
         dist[frontier] = hop
     return dist

@@ -20,14 +20,6 @@ from .graph import NormalizedAdjacency
 HIDDEN_DIM = 16
 Y_EPS = 1e-12
 
-PARAM_SHAPES = {
-    "W1": lambda d: (d, HIDDEN_DIM),
-    "W2": lambda d: (HIDDEN_DIM, HIDDEN_DIM),
-    "b1": lambda d: (HIDDEN_DIM,),
-    "b2": lambda d: (HIDDEN_DIM,),
-    "w_head": lambda d: (HIDDEN_DIM,),
-    "b_head": lambda d: (),
-}
 WEIGHT_NAMES = ("W1", "W2", "w_head")  # weight decay applies to these only
 
 
@@ -44,9 +36,6 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         return ParamStore({k: v.copy() for k, v in self.values.items()})
-
-    def names(self):
-        return list(self.values)
 
     @property
     def feature_dim(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, TrainingAbort
-from .graph import Graph, normalize_adjacency
+from .graph import Graph, NormalizedAdjacency, normalize_adjacency
 from .losses import LossConfig, combined_objective
 from .nn import (WEIGHT_NAMES, Y_EPS, ParamStore, forward_from_propagated,
                  gcn_backward, init_params)
@@ -106,30 +106,8 @@ class NegativeSampler:
         return self._draw(np.repeat(src, k)).reshape(src.size, k)
 
 
-def sample_negatives(sampler: NegativeSampler, node: int, k: int) -> np.ndarray:
-    """K uniform non-neighbor draws for one node (see NegativeSampler.sample)."""
-    return sampler.sample(node, k)
-
-
-def adam_step(params: ParamStore, m: dict, v: dict, learning_rate: float,
-              betas: tuple[float, float], eps: float, weight_decay: float,
-              step_count: int):
-    """One bias-corrected Adam update; decoupled weight decay on weights only."""
-    b1, b2 = betas
-    c1 = 1.0 - b1 ** step_count
-    c2 = 1.0 - b2 ** step_count
-    for name, p in params.values.items():
-        g = params.grads[name]
-        m[name] = b1 * m[name] + (1.0 - b1) * g
-        v[name] = b2 * v[name] + (1.0 - b2) * g * g
-        update = (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
-        if weight_decay > 0.0 and name in WEIGHT_NAMES:
-            update = update + weight_decay * p
-        p -= learning_rate * update
-
-
 class Adam:
-    """Stateful wrapper around adam_step with standard defaults."""
+    """Bias-corrected Adam with decoupled weight decay on the weights only."""
 
     def __init__(self, learning_rate: float = 0.01, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
@@ -146,8 +124,28 @@ class Adam:
             self._m = {k: np.zeros_like(p) for k, p in params.values.items()}
             self._v = {k: np.zeros_like(p) for k, p in params.values.items()}
         self.t += 1
-        adam_step(params, self._m, self._v, self.learning_rate, self.betas,
-                  self.eps, self.weight_decay, self.t)
+        b1, b2 = self.betas
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        m, v = self._m, self._v
+        for name, p in params.values.items():
+            g = params.grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + self.eps)
+            if self.weight_decay > 0.0 and name in WEIGHT_NAMES:
+                update = update + self.weight_decay * p
+            p -= self.learning_rate * update
+
+
+def propagate(dataset) -> tuple[NormalizedAdjacency, np.ndarray]:
+    """(A_hat, A_hat @ X) of the dataset, built on first use and kept on its
+    PreparedDataset, so the runs drawn from it and their scoring share one copy."""
+    prepared = dataset.prepared
+    if prepared.propagation is None:
+        adj = normalize_adjacency(prepared.graph)
+        prepared.propagation = (adj, adj.matmul(prepared.features))
+    return prepared.propagation
 
 
 def _grad_norm(params: ParamStore) -> float:
@@ -171,8 +169,7 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
             f"dataset partition was built with delta={dataset.partition.delta}, "
             f"config requests delta={config.loss.delta}"
         )
-    adj = normalize_adjacency(dataset.graph)
-    ax = adj.matmul(dataset.features)
+    adj, ax = propagate(dataset)
     params = init_params(dataset.features.shape[1], config.seed)
     sampler = NegativeSampler(dataset.graph, config.seed)
     opt = Adam(learning_rate=config.learning_rate, weight_decay=config.weight_decay)

@@ -116,6 +116,27 @@ class TestSweepCommand:
         assert rows["pugnn"]["errors"][0].startswith("ConfigError")
         assert all(rows[m]["n"] == 1 for m in MAIN_METHODS if m != "pugnn")
 
+    def test_missing_content_file_fails_every_cell_and_exits_2(self, tmp_path, capsys):
+        # the sweep prepares its dataset once; a failed preparation is every cell's error
+        (tmp_path / "x.cites").write_text("")
+        manifest = {"name": "missing", "format": "content_cites",
+                    "content": str(tmp_path / "absent.content"),
+                    "cites": str(tmp_path / "x.cites"), "positive_classes": ["a"]}
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "main", "--config", str(write_config(tmp_path, dataset=manifest)),
+                     "--out", str(out_dir), "--seeds", "2", "--ratios", "0.02"])
+        assert code == 2
+        assert "pugraph-error kind=data" in capsys.readouterr().err
+        assert (out_dir / "runs.csv").read_text().splitlines() == [
+            "dataset,method,ratio,seed,macro_f1,f1_pos,f1_neg,wall_time"]
+        rows = json.loads((out_dir / "aggregate.json").read_text())["rows"]
+        assert sorted(r["method"] for r in rows) == sorted(MAIN_METHODS)
+        for row in rows:
+            assert row["n"] == 0 and row["mean"] is None
+            assert len(row["errors"]) == 2
+            assert all(e.startswith("FileNotFoundError") and "absent.content" in e
+                       for e in row["errors"])
+
 
 class TestPartitionCommand:
     def test_sbm_exits_0_with_a_row_per_delta(self, tmp_path, capsys):

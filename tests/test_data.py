@@ -11,7 +11,7 @@ from pugraph.data import (BinaryMapping, binarize_labels, build_dataset,
 from pugraph.errors import InputError, ParseError
 from pugraph.graph import generate_sbm
 
-from conftest import SBM_MANIFEST
+from conftest import SBM_MANIFEST, traced_peak
 
 CONTENT_3 = "n1\t1\t0\t1\tml\nn2\t0\t1\t0\ttheory\nn3\t1\t1\t0\tml\n"
 CITES_1 = "n1\tn2\n"
@@ -64,6 +64,49 @@ class TestLoadContentCites:
         (tmp_path / "d.cites").write_text("")
         with pytest.raises(InputError):
             load_content_cites(tmp_path / "d.content", tmp_path / "d.cites")
+
+    @pytest.mark.parametrize("row, lineno", [
+        ("n2\t1\tx\tml", 6),            # non-numeric value
+        ("n2\t1\t0\t1\tml", 6),         # one column too many
+        ("n2\t1\tml", 6),               # one column too few
+    ])
+    def test_bad_row_after_blank_lines_reports_its_file_line(self, tmp_path, row, lineno):
+        content = tmp_path / "e.content"
+        content.write_text(f"\n\nn1\t1\t0\tml\n\n \t\n{row}\nn3\t0\t0\tml\n")
+        (tmp_path / "e.cites").write_text("")
+        with pytest.raises(ParseError, match=f"e.content:{lineno}:"):
+            load_content_cites(content, tmp_path / "e.cites")
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        (tmp_path / "f.content").write_text("n1\t1\tml\nn1\t0\tml\n")
+        (tmp_path / "f.cites").write_text("")
+        with pytest.raises(InputError, match="duplicate"):
+            load_content_cites(tmp_path / "f.content", tmp_path / "f.cites")
+
+    def test_values_bit_equal_to_python_float(self, tmp_path):
+        values = ["0", "1", "-2.5", "1e-3", "0.1", "3.141592653589793", "1E300",
+                  "-0", "4.9e-324", "123456789.123456789", "inf", "-inf"]
+        content = tmp_path / "g.content"
+        content.write_text("".join(f"n{i} {' '.join(values[i:] + values[:i])} c\n"
+                                   for i in range(len(values))))
+        (tmp_path / "g.cites").write_text("")
+        _, features, _ = load_content_cites(content, tmp_path / "g.cites")
+        oracle = np.array([[float(x) for x in line.split()[1:-1]]
+                           for line in content.read_text().splitlines()])
+        assert np.array_equal(features.view(np.int64), oracle.view(np.int64))
+
+    def test_parse_peak_is_a_small_multiple_of_the_features(self, tmp_path):
+        rng = np.random.default_rng(0)
+        bits = rng.random((1500, 400)) < 0.05
+        content = tmp_path / "h.content"
+        content.write_text("".join(
+            f"{i}\t" + "\t".join("1" if b else "0" for b in row) + "\tc\n"
+            for i, row in enumerate(bits)))
+        (tmp_path / "h.cites").write_text("")
+        (_, features, _), peak = traced_peak(load_content_cites, content,
+                                             tmp_path / "h.cites")
+        assert np.array_equal(features, bits)
+        assert peak < 3 * features.nbytes
 
 
 class TestJsonl:

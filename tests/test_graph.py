@@ -130,7 +130,40 @@ def reference_matmul(adj, dense, block=256):
     return out[:, 0] if squeeze else out
 
 
+def reference_multi_source_bfs(g, sources):
+    """The per-node concatenate BFS that the CSR gather replaced, kept verbatim."""
+    src = np.unique(np.asarray(list(sources), dtype=np.int64))
+    dist = np.full(g.num_nodes, np.inf)
+    dist[src] = 0.0
+    frontier = src
+    hop = 0.0
+    while frontier.size:
+        hop += 1.0
+        cand = np.unique(np.concatenate([g.neighbors(v) for v in frontier]))
+        frontier = cand[np.isinf(dist[cand])]
+        dist[frontier] = hop
+    return dist
+
+
 class TestAgainstReplacedImplementations:
+    def test_multi_source_bfs_bit_equal_to_per_node_concatenate(self):
+        rng = np.random.default_rng(14)
+        two_paths_and_isolated = build_graph([(0, 1), (1, 2), (4, 5), (5, 6), (6, 7)], 10)
+        sbm = generate_sbm(400, 600, 0.02, 0.001, 3)[0]
+        cases = [(build_graph([], 1), [0]), (build_graph([], 5), [1, 3]),
+                 (two_paths_and_isolated, [0]), (two_paths_and_isolated, [3]),
+                 (two_paths_and_isolated, [2, 3, 9]),
+                 (two_paths_and_isolated, range(10)),
+                 (sbm, [0]), (sbm, rng.choice(1000, size=300, replace=False)),
+                 (sbm, range(1000))]
+        for _ in range(30):
+            n = int(rng.integers(2, 60))
+            g = random_graph(rng, n, float(rng.uniform(0.0, 0.2)))
+            cases.append((g, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)))
+        for g, sources in cases:
+            got = multi_source_bfs(g, sources)
+            assert np.array_equal(got, reference_multi_source_bfs(g, sources))
+
     def test_normalize_adjacency_bit_equal_to_per_node_loop(self):
         rng = np.random.default_rng(11)
         clique_and_isolated = build_graph(

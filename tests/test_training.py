@@ -8,8 +8,7 @@ from pugraph.graph import build_graph, normalize_adjacency
 from pugraph.losses import LossConfig, distpu_loss
 from pugraph.nn import (Y_EPS, forward_from_propagated, gcn_backward,
                         init_params, save_checkpoint)
-from pugraph.train import (Adam, NegativeSampler, TrainConfig,
-                           sample_negatives, train)
+from pugraph.train import Adam, NegativeSampler, TrainConfig, train
 
 from conftest import random_graph, small_manifest, traced_peak
 
@@ -136,13 +135,13 @@ class TestNegativeSampler:
     def test_star_leaf_excludes_center_and_self(self):
         g = build_graph([(0, i) for i in range(1, 6)], 6)
         sampler = NegativeSampler(g, 0)
-        draws = sample_negatives(sampler, 1, 500)
+        draws = sampler.sample(1, 500)
         assert set(np.unique(draws)).issubset({2, 3, 4, 5})
 
     def test_uniform_by_chi_squared(self):
         g = build_graph([(i, (i + 1) % 8) for i in range(8)], 8)  # 8-cycle
         sampler = NegativeSampler(g, 123)
-        draws = sample_negatives(sampler, 0, 1_000_000)
+        draws = sampler.sample(0, 1_000_000)
         support = np.setdiff1d(np.arange(8), [0, 1, 7])
         counts = np.array([(draws == v).sum() for v in support])
         assert counts.sum() == 1_000_000
@@ -165,7 +164,7 @@ class TestNegativeSampler:
         g = build_graph([(0, 1), (0, 2), (1, 2)], 3)  # complete
         sampler = NegativeSampler(g, 0)
         with pytest.raises(InputError):
-            sample_negatives(sampler, 0, 3)
+            sampler.sample(0, 3)
 
     def test_counts_field(self):
         g = build_graph([(0, 1), (1, 2)], 4)
