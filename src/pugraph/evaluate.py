@@ -107,14 +107,18 @@ def macro_f1(y_hat: np.ndarray, true_label: np.ndarray,
     return MetricSummary((f1_pos + f1_neg) / 2.0, f1_pos, f1_neg, c)
 
 
+def _method_loss(method: str) -> dict:
+    if method not in METHOD_LOSS:
+        raise InputError(f"unknown method {method!r}; expected one of {sorted(METHOD_LOSS)}")
+    return METHOD_LOSS[method]
+
+
 def resolve_loss_config(method: str, loss_overrides: dict | None = None,
                         positive_prior: float | None = None) -> LossConfig:
     """Build the LossConfig for a named method; pi_p='auto' resolves to the
     dataset's transductive positive prior."""
-    if method not in METHOD_LOSS:
-        raise InputError(f"unknown method {method!r}; expected one of {sorted(METHOD_LOSS)}")
     # the method's own settings win over sweep overrides for the keys they pin
-    settings = {**(loss_overrides or {}), **METHOD_LOSS[method]}
+    settings = {**(loss_overrides or {}), **_method_loss(method)}
     if settings.get("pi_p") in (None, "auto"):
         settings["pi_p"] = positive_prior if positive_prior is not None else 0.5
     cfg = LossConfig(**settings)
@@ -142,7 +146,7 @@ def run_single(source, method: str, ratio: float, seed: int,
     scoring, and the preparation only if `source` is a manifest."""
     base = train_config or TrainConfig()
     # peek at the loss settings to know delta before building the partition
-    probe = dict(METHOD_LOSS[method])
+    probe = dict(_method_loss(method))
     probe.update(loss_overrides or {})
     delta = int(probe.get("delta", LossConfig.delta))
     t0 = time.perf_counter()

@@ -5,7 +5,9 @@ immutable after construction. This module provides:
 
 - build_graph: edge list -> deduplicated, symmetrized, self-loop-free CSR
 - normalize_adjacency: symmetric GCN normalization with implicit self-loops,
-  weight(i, j) = 1 / sqrt((d_i + 1) (d_j + 1))
+  weight(i, j) = 1 / sqrt((d_i + 1) (d_j + 1)); its matmul works through
+  cache-sized blocks of rows (at most _GATHER_ELEMS gathered elements, or
+  one row) and is bit-equal to one reduction per row
 - multi_source_bfs: unweighted hop distances from a set of source nodes
 - partition_unlabeled: split unlabeled nodes by hop distance to the nearest
   labeled node (threshold delta)
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import InputError
 
 UNREACHABLE = np.inf
-_GATHER_ELEMS = 1 << 21  # matmul: elements of one (nnz x block) gather
+_GATHER_ELEMS = 1 << 16  # matmul: elements of one row block's gather (512 KB)
 _PAIR_CHUNK = 1 << 20    # generate_sbm: node pairs drawn per chunk
 
 
@@ -64,12 +66,17 @@ class NormalizedAdjacency:
     weights: np.ndarray  # float64
 
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Sparse-dense product over blocks of columns.
+        """Sparse-dense product over blocks of rows.
 
-        The block width is chosen so that the (nnz x width) gather holds at
-        most _GATHER_ELEMS elements, whatever the number of columns. Every
-        row has at least the self-loop entry, which np.add.reduceat requires
-        (empty segments would repeat the next segment's value).
+        A block is a range of CSR rows [lo, hi) whose entries, gathered as
+        whole rows of the operand, hold at most _GATHER_ELEMS elements; a
+        block holds at least one row, so the gather never exceeds
+        max(_GATHER_ELEMS, longest row x width) elements and stays
+        cache-sized. The weights scale the gather in place and one
+        np.add.reduceat per block writes a contiguous slice of the output,
+        so each output row is one reduction over its entries in CSR order.
+        Every row has at least the self-loop entry, which np.add.reduceat
+        requires (empty segments would repeat the next segment's value).
         """
         if dense.shape[0] != self.num_nodes:
             raise InputError(
@@ -79,13 +86,18 @@ class NormalizedAdjacency:
         if squeeze:
             dense = dense[:, None]
         out = np.empty((self.num_nodes, dense.shape[1]), dtype=np.float64)
-        starts = self.indptr[:-1]
-        block = max(1, _GATHER_ELEMS // self.indices.size)
-        for lo in range(0, dense.shape[1], block):
-            hi = min(lo + block, dense.shape[1])
-            prod = dense[self.indices, lo:hi]
-            prod *= self.weights[:, None]
-            np.add.reduceat(prod, starts, axis=0, out=out[:, lo:hi])
+        indptr = self.indptr
+        entries = max(1, _GATHER_ELEMS // max(1, dense.shape[1]))
+        lo = 0
+        while lo < self.num_nodes:
+            a = indptr[lo]
+            hi = max(lo + 1, int(np.searchsorted(indptr, a + entries, side="right")) - 1)
+            b = indptr[hi]
+            prod = dense[self.indices[a:b]]
+            prod *= self.weights[a:b, None]
+            np.add.reduceat(prod, indptr[lo:hi] - a, axis=0, out=out[lo:hi])
+            del prod  # the next block's gather reuses its memory
+            lo = hi
         return out[:, 0] if squeeze else out
 
     def to_dense(self) -> np.ndarray:

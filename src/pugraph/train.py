@@ -48,11 +48,29 @@ class TrainConfig:
         self.loss.validate()
 
 
+_SLOTS_PER_EDGE = 32  # sampler: membership-table slots per directed edge
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
+
+
 class NegativeSampler:
     """Uniform draws over the non-neighbors of a query node, with replacement.
 
     Draws are produced by rejection from uniform-over-all-nodes (reject self
     and neighbors); the sequence is fully determined by (seed, query order).
+
+    The neighbor test is prefiltered by a membership table of 2^b booleans,
+    b = max(10, ceil(log2(_SLOTS_PER_EDGE * E))) for E directed edges: the
+    Fibonacci hash (key * _FIBONACCI mod 2^64) >> (64 - b) of every edge key
+    src * n + dst marks its slot. A draw whose slot is unmarked is no edge;
+    only the rest (the edges plus about 1/_SLOTS_PER_EDGE of the others)
+    reach the exact searchsorted over the sorted keys. The table takes
+    _SLOTS_PER_EDGE to 2 * _SLOTS_PER_EDGE bytes per directed edge, O(E).
+    The rejection mask is exactly the exact test's, so the redraw order and
+    the draw stream are those of the plain searchsorted test.
+
+    `counts` accumulates, over the sampler's life, the candidates drawn
+    (redraws included), the redraw rounds and the candidates that reached
+    the exact check.
     """
 
     def __init__(self, graph: Graph, seed: int):
@@ -61,18 +79,35 @@ class NegativeSampler:
         self.non_neighbor_counts = graph.num_nodes - 1 - graph.degrees
         src, dst = graph.directed_edges()
         self._edge_keys = src * graph.num_nodes + dst  # sorted by CSR order
+        bits = max(10, int(np.ceil(np.log2(max(1.0, _SLOTS_PER_EDGE * src.size)))))
+        self._shift = np.uint64(64 - bits)
+        self._marked = np.zeros(1 << bits, dtype=bool)
+        self._marked[self._slots(self._edge_keys.copy())] = True
+        self.counts = {"draws": 0, "redraw_rounds": 0, "exact_checks": 0}
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        """Table slot of each int64 key, hashed in place; returned as int64
+        so that indexing the table makes no intp copy."""
+        hashed = keys.view(np.uint64)
+        hashed *= _FIBONACCI  # wraps mod 2^64
+        hashed >>= self._shift
+        return keys
 
     def _rejected(self, queries: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Mask of the draws that hit the query itself or one of its neighbors."""
         bad = cand == queries
-        if self._edge_keys.size:
-            keys = queries * self.graph.num_nodes
-            keys += cand
+        keys = queries * self.graph.num_nodes
+        keys += cand
+        check = np.flatnonzero(self._marked[self._slots(keys)])
+        self.counts["exact_checks"] += check.size
+        if check.size:
+            keys = queries[check] * self.graph.num_nodes
+            keys += cand[check]
             pos = np.searchsorted(self._edge_keys, keys)
             # "clip" maps the past-the-end position to the last key and,
             # unlike "raise", writes into pos without a buffered copy
             np.take(self._edge_keys, pos, out=pos, mode="clip")
-            bad |= pos == keys
+            bad[check] |= pos == keys
         return bad
 
     def _draw(self, queries: np.ndarray) -> np.ndarray:
@@ -83,9 +118,12 @@ class NegativeSampler:
         """
         n = self.graph.num_nodes
         out = self.rng.integers(0, n, size=queries.size)
+        self.counts["draws"] += out.size
         pending = np.flatnonzero(self._rejected(queries, out))
         while pending.size:
             cand = self.rng.integers(0, n, size=pending.size)
+            self.counts["draws"] += cand.size
+            self.counts["redraw_rounds"] += 1
             bad = self._rejected(queries[pending], cand)
             out[pending[~bad]] = cand[~bad]
             pending = pending[bad]
@@ -158,6 +196,12 @@ def _grad_norm(params: ParamStore) -> float:
 def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     """Run the full training loop; returns final parameters and per-epoch log.
 
+    Each log record holds the epoch's loss and its parts, the gradient norm,
+    the shares of scores on the Y_EPS clip (`frac_clipped`) and at or above
+    0.5 (`frac_positive`), the sampler's counts for the epoch (`sampler`:
+    candidates drawn, redraw rounds, exact neighbor checks) and the epoch's
+    wall time.
+
     Aborts with TrainingAbort on divergence (see TrainConfig): a forward pass
     with every score on the Y_EPS clip, or a non-finite loss or activation.
     The abort carries the parameters of the last epoch whose forward pass and
@@ -177,6 +221,7 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     last_good = params.copy()
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
+        drawn = dict(sampler.counts)
         try:
             cache = forward_from_propagated(adj, ax, params)
             value, grad_y, grad_z = combined_objective(
@@ -188,7 +233,8 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
             raise TrainingAbort(
                 f"non-finite loss {value.total} at epoch {epoch}", epoch, last_good,
                 records)
-        if ((cache.y_hat <= Y_EPS) | (cache.y_hat >= 1.0 - Y_EPS)).all():
+        clipped = (cache.y_hat <= Y_EPS) | (cache.y_hat >= 1.0 - Y_EPS)
+        if clipped.all():
             raise TrainingAbort(
                 f"diverged at epoch {epoch}: every score sits on the Y_EPS clip",
                 epoch, last_good, records)
@@ -203,6 +249,9 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
                 "total": value.total,
                 "parts": {k: float(p) for k, p in value.parts.items()},
                 "grad_norm": gnorm,
+                "frac_clipped": float(clipped.mean()),
+                "frac_positive": float((cache.y_hat >= 0.5).mean()),
+                "sampler": {k: v - drawn[k] for k, v in sampler.counts.items()},
                 "wall_time_ms": (time.perf_counter() - t0) * 1e3,
             })
     return params, records

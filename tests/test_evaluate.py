@@ -99,3 +99,9 @@ class TestGrids:
         counting(monkeypatch, "data", "load_source", delay=1.0)
         results = run_grid(small_manifest(), ("naive",), (0.02,), range(2), FAST)
         assert all(r.error is None and r.wall_time < 1.0 for r in results)
+
+    def test_unknown_method_is_recorded_as_a_data_error(self):
+        # the delta probe used to raise a bare KeyError, recorded with no kind
+        (result,) = run_grid(small_manifest(), ("bogus",), (0.02,), range(1))
+        assert result.error.startswith("InputError: unknown method 'bogus'")
+        assert result.error_kind == "data"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pugraph import graph as graph_module
 from pugraph.errors import InputError
 from pugraph.graph import (NormalizedAdjacency, build_graph, generate_sbm,
                            multi_source_bfs, normalize_adjacency,
@@ -198,6 +199,57 @@ class TestAgainstReplacedImplementations:
         x = np.random.default_rng(13).normal(size=(8000, 500))
         out, peak = traced_peak(adj.matmul, x)
         assert peak < 2 * out.nbytes + 32 * 2**20
+
+
+class TestRowBlockedMatmul:
+    """The row-blocked matmul against the 256-column oracle, at the edges of
+    its blocking: rows longer than the gather bound, width 1 and 1-D
+    operands, and one row per block."""
+
+    def test_hub_row_longer_than_the_gather_bound(self):
+        rng = np.random.default_rng(15)
+        adj = normalize_adjacency(hub_graph(rng, 2000, 0.002))
+        longest = int(np.diff(adj.indptr).max())
+        for width in (33, 64, 200):
+            assert longest * width > graph_module._GATHER_ELEMS
+            x = rng.normal(size=(2000, width))
+            assert np.array_equal(adj.matmul(x), reference_matmul(adj, x)), width
+
+    @pytest.mark.parametrize("gather_elems", [None, 1])
+    def test_width_one_and_one_dimensional(self, monkeypatch, gather_elems):
+        if gather_elems is not None:
+            monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", gather_elems)
+        rng = np.random.default_rng(16)
+        for g in (hub_graph(rng, 700, 0.02), build_graph([], 3), random_graph(rng, 50, 0.1)):
+            adj = normalize_adjacency(g)
+            for x in (rng.normal(size=(g.num_nodes, 1)), rng.normal(size=g.num_nodes)):
+                got = adj.matmul(x)
+                assert got.shape == x.shape
+                assert np.array_equal(got, reference_matmul(adj, x))
+
+    def test_one_row_per_block_at_a_bound_of_one(self, monkeypatch):
+        monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", 1)
+        rng = np.random.default_rng(17)
+        adj = normalize_adjacency(hub_graph(rng, 400, 0.05))
+        longest = int(np.diff(adj.indptr).max())
+        for width in (2, 16, 300):
+            x = rng.normal(size=(400, width))
+            out, peak = traced_peak(adj.matmul, x)
+            assert np.array_equal(out, reference_matmul(adj, x)), width
+            # one row's gather at a time, plus numpy's 64 KB ufunc buffer
+            assert peak < out.nbytes + 8 * longest * width + 2**17, width
+
+    def test_gather_holds_at_most_the_bound_or_the_longest_row(self):
+        rng = np.random.default_rng(18)
+        g, _ = generate_sbm(4000, 4000, 1.0 / 1000, 1.0 / 8000, 101)
+        cases = [(normalize_adjacency(g), 500), (normalize_adjacency(g), 16),
+                 (normalize_adjacency(hub_graph(rng, 2000, 0.002)), 64)]
+        for adj, width in cases:
+            longest = int(np.diff(adj.indptr).max())
+            x = rng.normal(size=(adj.num_nodes, width))
+            out, peak = traced_peak(adj.matmul, x)
+            gather = 8 * max(graph_module._GATHER_ELEMS, longest * width)
+            assert peak < out.nbytes + gather + 2**17, width
 
 
 class TestMultiSourceBfs:

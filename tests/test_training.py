@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -100,6 +102,85 @@ class ReferenceRejectionSampler:
             out[pending[ok]] = cand[ok]
             pending = pending[~ok]
         return out
+
+
+def searchsorted_mask(graph, queries, cand):
+    """The plain rejection mask: self draws plus a searchsorted over every
+    edge key. The hashed prefilter must reproduce it exactly."""
+    src, dst = graph.directed_edges()
+    edge_keys = src * graph.num_nodes + dst
+    bad = cand == queries
+    if edge_keys.size:
+        keys = queries * graph.num_nodes + cand
+        pos = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+        bad |= edge_keys[pos] == keys
+    return bad
+
+
+class TestHashedPrefilter:
+    def test_rejected_equals_searchsorted_mask(self):
+        rng = np.random.default_rng(24)
+        path_and_isolated = build_graph([(0, 1), (1, 2), (2, 3)], 8)  # 4..7 isolated
+        graphs = [build_graph([], 1), build_graph([], 6), path_and_isolated,
+                  build_graph([(0, i) for i in range(1, 40)], 41),
+                  random_graph(rng, 64, 0.2),  # keys src * 64 + dst: bits line up
+                  build_graph(rng.integers(0, 1024, size=(6000, 2)), 1024),
+                  random_graph(rng, 300, 0.05)]
+        for g in graphs:
+            sampler = NegativeSampler(g, 0)
+            n = g.num_nodes
+            src, dst = g.directed_edges()
+            nodes = np.arange(n, dtype=np.int64)
+            pairs = [(src, dst), (dst, src), (nodes, nodes),
+                     (np.repeat(nodes, n), np.tile(nodes, n)),
+                     (rng.integers(0, n, size=5000), rng.integers(0, n, size=5000))]
+            for queries, cand in pairs:
+                q, c = queries.copy(), cand.copy()
+                got = sampler._rejected(queries, cand)
+                assert np.array_equal(got, searchsorted_mask(g, q, c))
+                assert np.array_equal(queries, q) and np.array_equal(cand, c)
+            assert sampler._rejected(src, dst).all()
+            assert sampler._rejected(nodes, nodes).all()
+
+    def test_table_size_and_exact_check_share(self):
+        rng = np.random.default_rng(25)
+        g = build_graph(rng.integers(0, 2708, size=(5429, 2)), 2708)  # Cora-sized
+        sampler = NegativeSampler(g, 0)
+        edges = g.indices.size
+        assert sampler._marked.size == 2 ** max(10, int(np.ceil(np.log2(32 * edges))))
+        assert 32 * edges <= sampler._marked.size < 64 * edges
+        src, dst = g.directed_edges()
+        sampler.edge_negatives(src, dst, 50)
+        counts = sampler.counts
+        # the edges plus at most about 1/32 of the other draws reach the exact check
+        assert counts["exact_checks"] < 0.05 * counts["draws"]
+        assert counts["draws"] >= 50 * src.size
+
+    def test_every_draw_checked_when_the_table_is_full(self, monkeypatch):
+        # pugraph.train names the function; the module is in sys.modules
+        monkeypatch.setattr(importlib.import_module("pugraph.train"), "_SLOTS_PER_EDGE",
+                            2.0 ** -20)
+        rng = np.random.default_rng(26)
+        g = random_graph(rng, 300, 0.3)  # about 27k directed edges in 1,024 slots
+        sampler, ref = NegativeSampler(g, 5), ReferenceRejectionSampler(g, 5)
+        assert sampler._marked.size == 1024 and sampler._marked.all()
+        src, dst = g.directed_edges()
+        want = ref._draw(np.repeat(src, 7)).reshape(src.size, 7)
+        assert np.array_equal(sampler.edge_negatives(src, dst, 7), want)
+        assert sampler.counts["exact_checks"] == sampler.counts["draws"]
+        queries, cand = rng.integers(0, 300, size=(2, 5000))
+        assert np.array_equal(sampler._rejected(queries, cand),
+                              searchsorted_mask(g, queries, cand))
+
+    def test_sampler_memory_is_linear_in_edges(self):
+        rng = np.random.default_rng(23)
+        n = 20_000
+        g = build_graph(rng.integers(0, n, size=(25_000, 2)), n)  # about 50k directed edges
+        sampler, peak = traced_peak(NegativeSampler, g, 0)
+        # a table of 32-64 bytes per directed edge, the int64 edge keys and
+        # a hashed copy; an n x n bitmap would take n^2 / 8 = 50 MB
+        assert peak < 128 * g.indices.size
+        assert peak < n * n / 8 / 8
 
 
 class TestNegativeSampler:
@@ -261,6 +342,33 @@ class TestTrain:
             opt.step(ref)
         for name in params.values:
             assert np.array_equal(params.values[name], ref.values[name])
+
+    def test_log_records_clip_positive_and_sampler_counts(self):
+        ds = build_dataset(small_manifest(), 0.02, 0, 2)
+        cfg = TrainConfig(epochs=3, seed=3,
+                          loss=LossConfig(kind="distance_aware", delta=2, k=5))
+        _, log = train(ds, cfg)
+        # epoch 1 scores come from the initial parameters
+        adj = normalize_adjacency(ds.graph)
+        y = forward_from_propagated(adj, adj.matmul(ds.features),
+                                    init_params(ds.features.shape[1], 3)).y_hat
+        assert log[0]["frac_positive"] == np.mean(y >= 0.5)
+        assert log[0]["frac_clipped"] == np.mean((y <= Y_EPS) | (y >= 1.0 - Y_EPS))
+        # each epoch's counts are those of one edge_negatives call
+        ref = NegativeSampler(ds.graph, 3)
+        src, dst = ds.graph.directed_edges()
+        ok = ref.non_neighbor_counts[src] > 0
+        for rec in log:
+            assert 0.0 <= rec["frac_clipped"] <= 1.0
+            assert 0.0 <= rec["frac_positive"] <= 1.0
+            before = dict(ref.counts)
+            ref.edge_negatives(src[ok], dst[ok], 5)
+            assert rec["sampler"] == {k: v - before[k] for k, v in ref.counts.items()}
+            assert rec["sampler"]["draws"] >= 5 * ok.sum()
+        cfg.loss.alpha = 0.0
+        _, log = train(ds, cfg)
+        assert all(rec["sampler"] == {"draws": 0, "redraw_rounds": 0, "exact_checks": 0}
+                   for rec in log)
 
     def test_invalid_config_rejected(self):
         ds = build_dataset(small_manifest(), 0.02, 0, 2)
