@@ -148,9 +148,13 @@ def _write_train_log(out_dir: str, records: list[dict]):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+# OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS; MKL reads its own
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _thread_note() -> dict:
     return {"cpu_count": os.cpu_count(),
-            "omp_num_threads": os.environ.get("OMP_NUM_THREADS")}
+            **{var.lower(): os.environ.get(var) for var in THREAD_VARS}}
 
 
 def cmd_train(args) -> int:

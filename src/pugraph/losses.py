@@ -10,6 +10,9 @@ the Dist-PU loss bit-exactly, not just approximately.
 
 structural_regularizer has one path for every graph size, chunked per directed
 edge, in O((n + E) * d + chunk * k * d) memory for E edges: no n x n array.
+Each chunk gathers rows of Z as single elements of a row-typed view and
+writes into one workspace allocated per call. Its arithmetic is that of a
+loop of fresh arrays per chunk, in the same order, so the bits are too.
 """
 
 import logging
@@ -182,7 +185,8 @@ def distance_aware_loss(y_hat: np.ndarray, partition: DistancePartition,
 
 
 # Sampleable edges per chunk of negative pairs: the (edges, k, d) gather of
-# their representations stays a few megabytes.
+# their representations stays a few megabytes. Fixed, since the chunks set
+# the order in which the negative terms are summed.
 _EDGE_CHUNK = 2048
 
 
@@ -198,15 +202,32 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
     twice its source-side term. Negatives go _EDGE_CHUNK edges at a time: an
     (e, k, d) gather, einsum dots and source sides, and one bincount per
     column scatters the negative side into a (d, n) accumulator; one more per
-    column over the sources adds both source sides. Memory is
-    O((n + E) * d + _EDGE_CHUNK * k * d) for E directed edges, never O(n^2).
+    column over the sources adds both source sides.
+
+    Rows of z are gathered through a view of z (made C-contiguous) whose
+    elements are whole rows, so indexing copies each row as one element
+    instead of d floats one by one; the copy holds the same bits. The
+    chunk's dots (later its bincount weights), coefficients and source sides
+    live in one workspace allocated per call and written through `out=` by
+    every chunk. Memory stays O((n + E) * d + _EDGE_CHUNK * k * d) for E
+    directed edges, never O(n^2): one chunk's gather is alive at a time, and
+    the workspace is O(_EDGE_CHUNK * (k + d)).
+
+    The result is bit-equal to a loop that allocates fresh arrays per chunk:
+    every value and gradient entry comes from the same operations in the
+    same order, and _EDGE_CHUNK, which sets the order of the sums, is fixed.
     """
     if graph.num_edges < 1:
         raise InputError("structural_regularizer requires a graph with at least one edge")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    z = np.asarray(z, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=np.float64)
     n, d = z.shape
+    z_rows = z.view(np.dtype((np.void, z.itemsize * d))).ravel()
+
+    def gather(ids):
+        return z_rows[ids].view(np.float64).reshape(ids.shape + (d,))
+
     src, dst = graph.directed_edges()
     can_sample = sampler.non_neighbor_counts[src] > 0
     n_skipped = int((~can_sample).sum())
@@ -214,21 +235,27 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
         log.warning("structural_regularizer: skipped negative terms for %d directed edges "
                     "whose source has no non-neighbors", n_skipped)
     negs = sampler.edge_negatives(src[can_sample], dst[can_sample], k)
-    z_dst = z[dst]
-    value, coef = _pair_coefs(np.einsum("ed,ed->e", z[src], z_dst), 1.0)
-    to_src = 2.0 * coef[:, None] * z_dst  # (E, d) source-side gradient per edge
+    z_dst = gather(dst)
+    value, coef = _pair_coefs(np.einsum("ed,ed->e", gather(src), z_dst), 1.0)
+    # (E, d) source-side gradient per edge, written over the gathered z[dst]
+    to_src = np.multiply(2.0 * coef[:, None], z_dst, out=z_dst)
     grad_t = np.zeros((d, n))
     rows = np.flatnonzero(can_sample)
+    m = min(rows.size, _EDGE_CHUNK)
+    dots_ws, coef_ws, side_ws = np.empty((m, k)), np.empty((m, k)), np.empty((m, d))
     for lo in range(0, rows.size, _EDGE_CHUNK):
         chunk = rows[lo:lo + _EDGE_CHUNK]
         b = negs[lo:lo + _EDGE_CHUNK]
-        za, zn = z[src[chunk]], z[b]
-        chunk_value, c = _pair_coefs(np.einsum("ed,ekd->ek", za, zn), 0.0)
+        dots, side = dots_ws[:chunk.size], side_ws[:chunk.size]
+        za, zn = gather(src[chunk]), gather(b)
+        np.einsum("ed,ekd->ek", za, zn, out=dots)
+        chunk_value, c = _pair_coefs(dots, 0.0, out=coef_ws[:chunk.size])
         value += chunk_value
-        to_src[chunk] += np.einsum("ek,ekd->ed", c, zn)
-        flat_b, w = b.ravel(), np.empty_like(c)
+        to_src[chunk] += np.einsum("ek,ekd->ed", c, zn, out=side)
+        del zn  # freed before the next chunk's gather, not after it
+        # the spent dots take the weights: a fresh buffer per column is twice as slow
+        flat_b, w = b.ravel(), dots
         for col in range(d):
-            # one weight buffer per chunk: a fresh one per column is twice as slow
             np.multiply(c, za[:, col, None], out=w)
             grad_t[col] += np.bincount(flat_b, weights=w.ravel(), minlength=n)
     for col in range(d):
@@ -236,12 +263,22 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
     return LossValue(value, {"regularizer": value}), np.ascontiguousarray(grad_t.T)
 
 
-def _pair_coefs(dots: np.ndarray, target: float) -> tuple[float, np.ndarray]:
-    """Value sum((s - target)^2) and its derivative in each dot, s = sigmoid(dot)."""
-    s = sigmoid(dots)
-    diff = s - target
-    value = float(np.vdot(diff, diff))
-    return value, 2.0 * diff * s * (1.0 - s)
+def _pair_coefs(dots: np.ndarray, target: float,
+                out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Value sum((s - target)^2) and its derivative 2 (s - target) s (1 - s)
+    in each dot, s = sigmoid(dot).
+
+    Works in place: `dots` is overwritten, and the derivatives go to `out`
+    when given (dots' shape), else to a new array.
+    """
+    s = sigmoid(dots, out=dots)
+    coef = np.subtract(s, target, out=out)
+    value = float(np.vdot(coef, coef))
+    coef *= 2.0
+    coef *= s
+    np.subtract(1.0, s, out=s)
+    coef *= s
+    return value, coef
 
 
 def combined_objective(y_hat: np.ndarray, z: np.ndarray,

@@ -62,11 +62,26 @@ def init_params(feature_dim: int, seed: int) -> ParamStore:
     })
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid: numerator 1 or e = exp(-|x|) by sign, over 1 + e."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable sigmoid: numerator 1 or e = exp(-|x|) by sign, over 1 + e.
+
+    The result goes to `out` when given (float64, x's shape), which may be x
+    itself; e is then the only float temporary. The steps are the same with or
+    without `out`, so the bits are too.
+
+    The numerator is taken as max(e, [x >= 0]) with [x >= 0] as 1.0 or 0.0:
+    since 0 <= e <= 1, that is 1 where x >= 0 and e elsewhere (NaN included),
+    bit for bit, without a per-element select.
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x, out=np.empty(x.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if out is None:
+        out = np.empty(x.shape)
+    np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 @dataclass

@@ -199,8 +199,11 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     Each log record holds the epoch's loss and its parts, the gradient norm,
     the shares of scores on the Y_EPS clip (`frac_clipped`) and at or above
     0.5 (`frac_positive`), the sampler's counts for the epoch (`sampler`:
-    candidates drawn, redraw rounds, exact neighbor checks) and the epoch's
-    wall time.
+    candidates drawn, redraw rounds, exact neighbor checks), the epoch's
+    wall time and its split (`phase_ms`): the forward pass, the objective
+    (PU loss and regularizer, sampler included), the backward pass with the
+    gradient norm, and the Adam step. `wall_time_ms` and `phase_ms` are the
+    only fields that differ between two runs of one config.
 
     Aborts with TrainingAbort on divergence (see TrainConfig): a forward pass
     with every score on the Y_EPS clip, or a non-finite loss or activation.
@@ -224,9 +227,11 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
         drawn = dict(sampler.counts)
         try:
             cache = forward_from_propagated(adj, ax, params)
+            t_forward = time.perf_counter()
             value, grad_y, grad_z = combined_objective(
                 cache.y_hat, cache.z, dataset.partition, dataset.graph,
                 config.loss, sampler)
+            t_objective = time.perf_counter()
         except NumericError as exc:
             raise TrainingAbort(f"{exc} at epoch {epoch}", epoch, last_good, records)
         if not np.isfinite(value.total):
@@ -240,9 +245,12 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
                 epoch, last_good, records)
         last_good = params.copy()
         params.zero_grad()
+        t_backward = time.perf_counter()
         gcn_backward(cache, grad_y, grad_z, params)
         gnorm = _grad_norm(params)
+        t_adam = time.perf_counter()
         opt.step(params)
+        t_end = time.perf_counter()
         if epoch % config.log_every == 0 or epoch == config.epochs:
             records.append({
                 "epoch": epoch,
@@ -252,6 +260,10 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
                 "frac_clipped": float(clipped.mean()),
                 "frac_positive": float((cache.y_hat >= 0.5).mean()),
                 "sampler": {k: v - drawn[k] for k, v in sampler.counts.items()},
+                "phase_ms": {"forward": (t_forward - t0) * 1e3,
+                             "objective": (t_objective - t_forward) * 1e3,
+                             "backward": (t_adam - t_backward) * 1e3,
+                             "adam": (t_end - t_adam) * 1e3},
                 "wall_time_ms": (time.perf_counter() - t0) * 1e3,
             })
     return params, records

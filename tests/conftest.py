@@ -83,6 +83,48 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray,
     )
 
 
+def reference_regularizer(z, graph: Graph, sampler, k: int) -> tuple[float, np.ndarray]:
+    """The structural regularizer as a loop of fresh arrays per chunk: plain
+    `z[ids]` gathers, out-of-place einsums and the where-select sigmoid.
+
+    The kernel in `losses` must match it bit for bit: same pairs, same
+    operations in the same order, and chunks of the same 2,048 edges, which
+    set the order of the sums and so the bits of every run.
+    """
+    chunk_edges = 2048
+
+    def pair_coefs(dots, target):
+        e = np.exp(-np.abs(dots))
+        s = np.where(dots >= 0, 1.0, e) / (1.0 + e)
+        diff = s - target
+        return float(np.vdot(diff, diff)), 2.0 * diff * s * (1.0 - s)
+
+    z = np.asarray(z, dtype=np.float64)
+    n, d = z.shape
+    src, dst = graph.directed_edges()
+    can_sample = sampler.non_neighbor_counts[src] > 0
+    negs = sampler.edge_negatives(src[can_sample], dst[can_sample], k)
+    z_dst = z[dst]
+    value, coef = pair_coefs(np.einsum("ed,ed->e", z[src], z_dst), 1.0)
+    to_src = 2.0 * coef[:, None] * z_dst
+    grad_t = np.zeros((d, n))
+    rows = np.flatnonzero(can_sample)
+    for lo in range(0, rows.size, chunk_edges):
+        chunk = rows[lo:lo + chunk_edges]
+        b = negs[lo:lo + chunk_edges]
+        za, zn = z[src[chunk]], z[b]
+        chunk_value, c = pair_coefs(np.einsum("ed,ekd->ek", za, zn), 0.0)
+        value += chunk_value
+        to_src[chunk] += np.einsum("ek,ekd->ed", c, zn)
+        flat_b, w = b.ravel(), np.empty_like(c)
+        for col in range(d):
+            np.multiply(c, za[:, col, None], out=w)
+            grad_t[col] += np.bincount(flat_b, weights=w.ravel(), minlength=n)
+    for col in range(d):
+        grad_t[col] += np.bincount(src, weights=to_src[:, col], minlength=n)
+    return value, np.ascontiguousarray(grad_t.T)
+
+
 class ReplaySampler:
     """Returns pre-drawn negatives; freezes the regularizer for FD checks."""
 

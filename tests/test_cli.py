@@ -68,6 +68,17 @@ class TestTrainCommand:
         assert code == 0
         assert json.loads(metrics_path.read_text())["macro_f1"] == result["macro_f1"]
 
+    def test_result_records_every_blas_thread_variable(self, tmp_path, capsys, monkeypatch):
+        for var, value in (("OPENBLAS_NUM_THREADS", "1"), ("OMP_NUM_THREADS", "2"),
+                           ("MKL_NUM_THREADS", "3")):
+            monkeypatch.setenv(var, value)
+        config_path = write_config(tmp_path, train={"epochs": 2})
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        threads = json.loads((out_dir / "result.json").read_text())["threads"]
+        assert {k: v for k, v in threads.items() if k != "cpu_count"} == {
+            "openblas_num_threads": "1", "omp_num_threads": "2", "mkl_num_threads": "3"}
+
     def test_pi_hat_not_above_pi_breve_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path, loss={"kind": "distance_aware", "delta": 2,
                                                    "pi_hat": 0.3, "pi_breve": 0.3})

@@ -14,7 +14,8 @@ from pugraph.nn import gcn_forward, init_params
 from pugraph.train import NegativeSampler
 
 from conftest import (EdgeKeyedSampler, ReplaySampler, assert_grad_close,
-                      numeric_grad_array, random_graph)
+                      numeric_grad_array, random_graph, reference_regularizer,
+                      traced_peak)
 
 
 def make_partition(labeled, near, far, delta=3):
@@ -370,6 +371,27 @@ class TestStructuralRegularizer:
             tracemalloc.stop()
         assert peak < n * n * 8 / 10
 
+    def test_chunk_workspace_memory_does_not_grow_with_the_chunk_count(self):
+        # replayed draws are allocated outside the trace, which then holds the
+        # O((n + E) * d) arrays and one chunk's gather and workspace; at k = 50
+        # a second gather alive at once would exceed the bound
+        k, d = 50, 16
+        chunk = 8 * losses._EDGE_CHUNK * (k * (d + 3) + 2 * d)
+        slack = 256 * 1024
+        peaks, linear = [], []
+        for n in (4000, 8000):
+            rng = np.random.default_rng(14)
+            g = build_graph(rng.integers(0, n, size=(21 * n // 10, 2)), n)
+            src, dst = g.directed_edges()
+            assert src.size > 8 * losses._EDGE_CHUNK * n // 4000
+            negs = NegativeSampler(g, 0).edge_negatives(src, dst, k)
+            z = rng.normal(size=(n, d))
+            _, peak = traced_peak(structural_regularizer, z, g, ReplaySampler(g, negs), k)
+            peaks.append(peak)
+            linear.append(8 * (n + src.size) * (2 * d + 8))
+            assert peak <= linear[-1] + chunk + slack
+        assert peaks[1] - peaks[0] <= linear[1] - linear[0] + slack
+
     def test_requires_edges_and_valid_k(self):
         g = build_graph([], 3)
         with pytest.raises(InputError):
@@ -377,6 +399,53 @@ class TestStructuralRegularizer:
         g2 = build_graph([(0, 1)], 3)
         with pytest.raises(InputError):
             structural_regularizer(np.zeros((3, 16)), g2, None, 0)
+
+
+def _kernel_case(name):
+    """(z, graph, negatives, k) for one bit-equality case of the chunk kernel."""
+    rng = np.random.default_rng(13)
+    k = 1 if name == "k1" else 4
+    if name == "chunks":
+        n = 1200
+        g = build_graph(rng.integers(0, n, size=(3600, 2)), n)
+    else:
+        n = 300
+        g = random_graph(rng, n, 0.035)
+    if name == "skipped":  # node 0 becomes adjacent to all: no non-neighbors
+        src, dst = g.directed_edges()
+        g = build_graph(np.vstack([np.column_stack([src, dst]),
+                                   [(0, j) for j in range(1, n)]]), n)
+    src, dst = g.directed_edges()
+    ok = g.num_nodes - 1 - g.degrees[src] > 0
+    negs = NegativeSampler(g, 3).edge_negatives(src[ok], dst[ok], k)
+    if name == "repeated":
+        negs[0, 1] = negs[0, 0]
+        negs[5] = negs[5, 0]
+    z = rng.normal(size=(n, 16)) * 0.5
+    z[:10] *= 40.0  # some dots far out on both tails of the sigmoid
+    if name == "fortran":
+        z = np.asfortranarray(z)
+    elif name == "transposed":
+        z = np.ascontiguousarray(z.T).T
+    return z, g, negs, k
+
+
+class TestRegularizerKernelBitEquality:
+    @pytest.mark.parametrize("name", ["chunks", "skipped", "repeated", "k1",
+                                      "fortran", "transposed"])
+    def test_value_and_gradient_equal_the_reference_loop(self, name):
+        z, g, negs, k = _kernel_case(name)
+        if name == "chunks":
+            rows = negs.shape[0]
+            assert rows > 3 * losses._EDGE_CHUNK and rows % losses._EDGE_CHUNK
+        if name == "skipped":
+            assert negs.shape[0] < 2 * g.num_edges
+        if name in ("fortran", "transposed"):
+            assert not z.flags.c_contiguous
+        value, grad = structural_regularizer(z, g, ReplaySampler(g, negs), k)
+        ref_value, ref_grad = reference_regularizer(z, g, ReplaySampler(g, negs), k)
+        assert value.total == ref_value
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestCombinedObjective:

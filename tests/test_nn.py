@@ -183,6 +183,9 @@ class TestSigmoid:
         e = np.exp(-np.abs(x))
         two_branch = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         assert np.array_equal(sigmoid(x).view(np.uint64), two_branch.view(np.uint64))
+        in_place = x.copy()  # the regularizer's kernel writes over its dots
+        assert np.array_equal(sigmoid(in_place, out=in_place).view(np.uint64),
+                              two_branch.view(np.uint64))
 
 
 class TestCheckpoint:

@@ -262,8 +262,9 @@ class TestTrain:
         params2, log2 = train(ds, cfg)
         for name in params1.values:
             assert np.array_equal(params1.values[name], params2.values[name])
-        strip = [{k: v for k, v in rec.items() if k != "wall_time_ms"} for rec in log1]
-        strip2 = [{k: v for k, v in rec.items() if k != "wall_time_ms"} for rec in log2]
+        wall = ("wall_time_ms", "phase_ms")
+        strip = [{k: v for k, v in rec.items() if k not in wall} for rec in log1]
+        strip2 = [{k: v for k, v in rec.items() if k not in wall} for rec in log2]
         assert strip == strip2
 
     def test_different_seed_differs(self):
@@ -365,6 +366,11 @@ class TestTrain:
             ref.edge_negatives(src[ok], dst[ok], 5)
             assert rec["sampler"] == {k: v - before[k] for k, v in ref.counts.items()}
             assert rec["sampler"]["draws"] >= 5 * ok.sum()
+            # the epoch's wall time split into phases, none overlapping
+            phases = rec["phase_ms"]
+            assert sorted(phases) == ["adam", "backward", "forward", "objective"]
+            assert all(v >= 0.0 for v in phases.values())
+            assert sum(phases.values()) <= rec["wall_time_ms"]
         cfg.loss.alpha = 0.0
         _, log = train(ds, cfg)
         assert all(rec["sampler"] == {"draws": 0, "redraw_rounds": 0, "exact_checks": 0}
