@@ -9,13 +9,18 @@ the distance-aware loss with an empty far set and pi_hat = pi_p reduces to
 the Dist-PU loss bit-exactly, not just approximately.
 
 structural_regularizer has one path for every graph size, chunked per directed
-edge, in O((n + E) * d + chunk * k * d) memory for E edges: no n x n array.
-Each chunk gathers rows of Z as single elements of a row-typed view and
-writes into one workspace allocated per call. Its arithmetic is that of a
-loop of fresh arrays per chunk, in the same order, so the bits are too.
+edge, in O((n + E) * d + chunk * k + tile) memory for E edges: no n x n
+array. It works with two sizes. Chunks of _EDGE_CHUNK edges are fixed: the
+value's vdot and the gradient's bincount sums run over a whole chunk, so
+the chunk sets their order and the bits. Tiles of a chunk are sized for the
+cache (about _TILE_FLOATS gathered floats, 1 MB) and change no bits, since
+every per-pair result is elementwise or an einsum over one edge's row. Its
+arithmetic is that of a loop of fresh arrays per chunk, in the same order,
+so the bits are too.
 """
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,14 +189,16 @@ def distance_aware_loss(y_hat: np.ndarray, partition: DistancePartition,
     return _distribution_match(y, partition.labeled, subsets)
 
 
-# Sampleable edges per chunk of negative pairs: the (edges, k, d) gather of
-# their representations stays a few megabytes. Fixed, since the chunks set
-# the order in which the negative terms are summed.
+# Sampleable edges per chunk of negative pairs. Fixed, since the chunks set
+# the order in which the negative terms are summed, and so the bits.
 _EDGE_CHUNK = 2048
+# Gathered floats per tile of a chunk's pair pass: one tile's (edges, k, d)
+# gather is 1 MB, which stays in L2. Tiles do not change the bits.
+_TILE_FLOATS = 2**17
 
 
-def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
-                           k: int) -> tuple[LossValue, np.ndarray]:
+def structural_regularizer(z: np.ndarray, graph: Graph, sampler, k: int,
+                           stats: dict | None = None) -> tuple[LossValue, np.ndarray]:
     """Push neighbor similarity toward 1 and sampled non-neighbor similarity to 0.
 
     Each undirected edge contributes from both endpoints; for the directed
@@ -199,23 +206,32 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
     non-neighbor set is empty (complete graphs) skip their negative term.
 
     The dots of (i, j) and (j, i) are bit-equal, so an edge's gradient is
-    twice its source-side term. Negatives go _EDGE_CHUNK edges at a time: an
-    (e, k, d) gather, einsum dots and source sides, and one bincount per
-    column scatters the negative side into a (d, n) accumulator; one more per
+    twice its source-side term. Negatives go _EDGE_CHUNK edges at a time.
+    Within a chunk, tiles of max(1, _TILE_FLOATS // (k * d)) edges each
+    gather their (e, k, d) negatives, take the einsum dots, the sigmoid
+    terms and the source sides, and free the gather before the next tile.
+    Then the chunk's vdot adds its value, and one bincount per column
+    scatters the negative side into a (d, n) accumulator; one more per
     column over the sources adds both source sides.
+
+    The two sizes differ in kind. A tile is sized for the cache and changes
+    no bits: every per-pair result is elementwise, or an einsum over one
+    edge's row whose order does not depend on how many edges it sees. A
+    chunk is fixed, because the vdot and the bincount sums run over a whole
+    chunk, so their order, and the bits of every run, depend on it.
 
     Rows of z are gathered through a view of z (made C-contiguous) whose
     elements are whole rows, so indexing copies each row as one element
-    instead of d floats one by one; the copy holds the same bits. The
-    chunk's dots (later its bincount weights), coefficients and source sides
-    live in one workspace allocated per call and written through `out=` by
-    every chunk. Memory stays O((n + E) * d + _EDGE_CHUNK * k * d) for E
-    directed edges, never O(n^2): one chunk's gather is alive at a time, and
-    the workspace is O(_EDGE_CHUNK * (k + d)).
+    instead of d floats one by one; the copy holds the same bits. A chunk's
+    differences s - target (later its bincount weights) and coefficients
+    live in (chunk, k) workspaces, a tile's dots and source sides in (tile,
+    k) and (tile, d) ones, all allocated once per call and written through
+    `out=`. Memory stays O((n + E) * d + _EDGE_CHUNK * k + _TILE_FLOATS) for
+    E directed edges, never O(n^2).
 
-    The result is bit-equal to a loop that allocates fresh arrays per chunk:
-    every value and gradient entry comes from the same operations in the
-    same order, and _EDGE_CHUNK, which sets the order of the sums, is fixed.
+    A `stats` dict, when given, gets the sampler's wall time (`sampler_ms`),
+    the pairs scored (`pairs`: E positive plus k per sampleable edge) and
+    the directed edges whose negative term was skipped (`skipped_edges`).
     """
     if graph.num_edges < 1:
         raise InputError("structural_regularizer requires a graph with at least one edge")
@@ -234,27 +250,38 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
     if n_skipped:
         log.warning("structural_regularizer: skipped negative terms for %d directed edges "
                     "whose source has no non-neighbors", n_skipped)
+    t0 = time.perf_counter()
     negs = sampler.edge_negatives(src[can_sample], dst[can_sample], k)
+    if stats is not None:
+        stats.update(sampler_ms=(time.perf_counter() - t0) * 1e3,
+                     pairs=src.size + negs.size, skipped_edges=n_skipped)
     z_dst = gather(dst)
-    value, coef = _pair_coefs(np.einsum("ed,ed->e", gather(src), z_dst), 1.0)
+    diff, coef = _pair_coefs(np.einsum("ed,ed->e", gather(src), z_dst), 1.0)
+    value = float(np.vdot(diff, diff))
     # (E, d) source-side gradient per edge, written over the gathered z[dst]
     to_src = np.multiply(2.0 * coef[:, None], z_dst, out=z_dst)
     grad_t = np.zeros((d, n))
     rows = np.flatnonzero(can_sample)
     m = min(rows.size, _EDGE_CHUNK)
-    dots_ws, coef_ws, side_ws = np.empty((m, k)), np.empty((m, k)), np.empty((m, d))
+    tile = max(1, _TILE_FLOATS // (k * d))
+    diff_ws, coef_ws = np.empty((m, k)), np.empty((m, k))
+    dots_ws, side_ws = np.empty((min(m, tile), k)), np.empty((min(m, tile), d))
     for lo in range(0, rows.size, _EDGE_CHUNK):
         chunk = rows[lo:lo + _EDGE_CHUNK]
         b = negs[lo:lo + _EDGE_CHUNK]
-        dots, side = dots_ws[:chunk.size], side_ws[:chunk.size]
-        za, zn = gather(src[chunk]), gather(b)
-        np.einsum("ed,ekd->ek", za, zn, out=dots)
-        chunk_value, c = _pair_coefs(dots, 0.0, out=coef_ws[:chunk.size])
-        value += chunk_value
-        to_src[chunk] += np.einsum("ek,ekd->ed", c, zn, out=side)
-        del zn  # freed before the next chunk's gather, not after it
-        # the spent dots take the weights: a fresh buffer per column is twice as slow
-        flat_b, w = b.ravel(), dots
+        za = gather(src[chunk])
+        diff, c = diff_ws[:chunk.size], coef_ws[:chunk.size]
+        for t in range(0, chunk.size, tile):
+            part = slice(t, t + tile)
+            zn = gather(b[part])
+            dots, side = dots_ws[:zn.shape[0]], side_ws[:zn.shape[0]]
+            np.einsum("ed,ekd->ek", za[part], zn, out=dots)
+            _pair_coefs(dots, 0.0, diff=diff[part], coef=c[part])
+            to_src[chunk[part]] += np.einsum("ek,ekd->ed", c[part], zn, out=side)
+            del zn  # freed before the next tile's gather, not after it
+        value += float(np.vdot(diff, diff))
+        # the spent differences take the weights: a fresh buffer per column is twice as slow
+        flat_b, w = b.ravel(), diff
         for col in range(d):
             np.multiply(c, za[:, col, None], out=w)
             grad_t[col] += np.bincount(flat_b, weights=w.ravel(), minlength=n)
@@ -263,33 +290,39 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler,
     return LossValue(value, {"regularizer": value}), np.ascontiguousarray(grad_t.T)
 
 
-def _pair_coefs(dots: np.ndarray, target: float,
-                out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Value sum((s - target)^2) and its derivative 2 (s - target) s (1 - s)
-    in each dot, s = sigmoid(dot).
+def _pair_coefs(dots: np.ndarray, target: float, diff: np.ndarray | None = None,
+                coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The differences s - target, whose squares sum to the value, and their
+    derivatives 2 (s - target) s (1 - s) in each dot, s = sigmoid(dot).
 
-    Works in place: `dots` is overwritten, and the derivatives go to `out`
-    when given (dots' shape), else to a new array.
+    Works in place: `dots` is overwritten, and the results go to `diff` and
+    `coef` when given (dots' shape), else to new arrays.
     """
     s = sigmoid(dots, out=dots)
-    coef = np.subtract(s, target, out=out)
-    value = float(np.vdot(coef, coef))
-    coef *= 2.0
+    diff = np.subtract(s, target, out=diff)
+    coef = np.multiply(diff, 2.0, out=coef)
     coef *= s
     np.subtract(1.0, s, out=s)
     coef *= s
-    return value, coef
+    return diff, coef
 
 
 def combined_objective(y_hat: np.ndarray, z: np.ndarray,
                        partition: DistancePartition, graph: Graph,
-                       config: LossConfig, sampler,
+                       config: LossConfig, sampler, stats: dict | None = None,
                        ) -> tuple[LossValue, np.ndarray, np.ndarray]:
     """Selected PU loss plus alpha * structural regularizer.
 
     Returns (LossValue, dL/dy_hat, dL/dZ); the regularizer is attached only
     when alpha > 0, and its part is recorded raw (total adds alpha times it).
+
+    A `stats` dict, when given, gets the wall time of the PU loss
+    (`pu_loss_ms`), of the sampler and of the rest of the regularizer
+    (`sampler_ms`, `regularizer_ms`), and the regularizer's `pairs` and
+    `skipped_edges` (see structural_regularizer); the last three are 0 when
+    alpha = 0.
     """
+    t0 = time.perf_counter()
     config.validate()
     y = np.asarray(y_hat, dtype=np.float64)
     n = y.shape[0]
@@ -306,9 +339,14 @@ def combined_objective(y_hat: np.ndarray, z: np.ndarray,
     parts = dict(pu_value.parts)
     total = pu_value.total
     grad_z = np.zeros_like(np.asarray(z, dtype=np.float64))
+    reg_stats = {"sampler_ms": 0.0, "pairs": 0, "skipped_edges": 0}
+    t_pu = time.perf_counter()
     if config.alpha > 0.0:
-        reg_value, reg_grad = structural_regularizer(z, graph, sampler, config.k)
+        reg_value, reg_grad = structural_regularizer(z, graph, sampler, config.k, reg_stats)
         parts["regularizer"] = reg_value.total
         total += config.alpha * reg_value.total
         grad_z = config.alpha * reg_grad
+    if stats is not None:
+        reg_ms = (time.perf_counter() - t_pu) * 1e3 - reg_stats["sampler_ms"]
+        stats.update(reg_stats, pu_loss_ms=(t_pu - t0) * 1e3, regularizer_ms=reg_ms)
     return LossValue(total, parts), grad_y, grad_z

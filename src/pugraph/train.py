@@ -199,10 +199,13 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     Each log record holds the epoch's loss and its parts, the gradient norm,
     the shares of scores on the Y_EPS clip (`frac_clipped`) and at or above
     0.5 (`frac_positive`), the sampler's counts for the epoch (`sampler`:
-    candidates drawn, redraw rounds, exact neighbor checks), the epoch's
-    wall time and its split (`phase_ms`): the forward pass, the objective
-    (PU loss and regularizer, sampler included), the backward pass with the
-    gradient norm, and the Adam step. `wall_time_ms` and `phase_ms` are the
+    candidates drawn, redraw rounds, exact neighbor checks), the
+    regularizer's pairs scored and skipped edges (`pairs`, `skipped_edges`,
+    0 when alpha = 0), the epoch's wall time and its split (`phase_ms`):
+    the forward pass, the objective (PU loss and regularizer, sampler
+    included) with its parts `pu_loss`, `sampler` and `regularizer` (the
+    rest of the regularizer), the backward pass with the gradient norm, and
+    the Adam step. `wall_time_ms` and `phase_ms` are the
     only fields that differ between two runs of one config.
 
     Aborts with TrainingAbort on divergence (see TrainConfig): a forward pass
@@ -228,9 +231,10 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
         try:
             cache = forward_from_propagated(adj, ax, params)
             t_forward = time.perf_counter()
+            stats: dict = {}
             value, grad_y, grad_z = combined_objective(
                 cache.y_hat, cache.z, dataset.partition, dataset.graph,
-                config.loss, sampler)
+                config.loss, sampler, stats=stats)
             t_objective = time.perf_counter()
         except NumericError as exc:
             raise TrainingAbort(f"{exc} at epoch {epoch}", epoch, last_good, records)
@@ -260,8 +264,13 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
                 "frac_clipped": float(clipped.mean()),
                 "frac_positive": float((cache.y_hat >= 0.5).mean()),
                 "sampler": {k: v - drawn[k] for k, v in sampler.counts.items()},
+                "pairs": stats["pairs"],
+                "skipped_edges": stats["skipped_edges"],
                 "phase_ms": {"forward": (t_forward - t0) * 1e3,
                              "objective": (t_objective - t_forward) * 1e3,
+                             "pu_loss": stats["pu_loss_ms"],
+                             "sampler": stats["sampler_ms"],
+                             "regularizer": stats["regularizer_ms"],
                              "backward": (t_adam - t_backward) * 1e3,
                              "adam": (t_end - t_adam) * 1e3},
                 "wall_time_ms": (time.perf_counter() - t0) * 1e3,

@@ -68,6 +68,26 @@ class TestTrainCommand:
         assert code == 0
         assert json.loads(metrics_path.read_text())["macro_f1"] == result["macro_f1"]
 
+    def test_eval_of_a_checkpoint_of_another_feature_width_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, train={"epochs": 2})
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        code = main(["eval", "--config", str(config_path), "--override",
+                     "dataset.feature_dim=12", "--checkpoint", str(out_dir / "checkpoint.bin")])
+        assert code == 1
+        assert ('pugraph-error kind=config exit=1 msg="features have 12 columns, '
+                'W1 expects 8"') in capsys.readouterr().err
+
+    def test_eval_of_a_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, train={"epochs": 2})
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        checkpoint = out_dir / "checkpoint.bin"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:2000])
+        code = main(["eval", "--config", str(config_path), "--checkpoint", str(checkpoint)])
+        assert code == 2
+        assert "pugraph-error kind=data exit=2" in capsys.readouterr().err
+
     def test_result_records_every_blas_thread_variable(self, tmp_path, capsys, monkeypatch):
         for var, value in (("OPENBLAS_NUM_THREADS", "1"), ("OMP_NUM_THREADS", "2"),
                            ("MKL_NUM_THREADS", "3")):

@@ -392,6 +392,26 @@ class TestStructuralRegularizer:
             assert peak <= linear[-1] + chunk + slack
         assert peaks[1] - peaks[0] <= linear[1] - linear[0] + slack
 
+    def test_peak_holds_one_tile_gather_and_the_chunk_workspaces(self):
+        # sbm-8k's shape: 8,000 nodes, about 36,000 directed edges, k = 50.
+        # Besides the O((n + E) * d) arrays, a call holds one tile's
+        # (tile, k, d) gather, the (chunk, k) differences and coefficients
+        # and the (chunk, d) sources; a chunk-wide gather (13 MB) exceeds
+        # the bound
+        n, k, d = 8000, 50, 16
+        rng = np.random.default_rng(15)
+        g = build_graph(rng.integers(0, n, size=(18000, 2)), n)
+        src, dst = g.directed_edges()
+        assert src.size > 17 * losses._EDGE_CHUNK
+        negs = NegativeSampler(g, 0).edge_negatives(src, dst, k)
+        z = rng.normal(size=(n, d))
+        _, peak = traced_peak(structural_regularizer, z, g, ReplaySampler(g, negs), k)
+        linear = 8 * (n + src.size) * (2 * d + 8)
+        tile = max(1, losses._TILE_FLOATS // (k * d))
+        workspaces = 8 * (losses._EDGE_CHUNK * (2 * k + d) + tile * (2 * k + d))
+        gather = 8 * tile * k * d
+        assert peak <= linear + gather + workspaces + 256 * 1024
+
     def test_requires_edges_and_valid_k(self):
         g = build_graph([], 3)
         with pytest.raises(InputError):
@@ -404,10 +424,13 @@ class TestStructuralRegularizer:
 def _kernel_case(name):
     """(z, graph, negatives, k) for one bit-equality case of the chunk kernel."""
     rng = np.random.default_rng(13)
-    k = 1 if name == "k1" else 4
-    if name == "chunks":
+    k = {"k1": 1, "tiles": 50, "single_edge_tiles": 8200}.get(name, 4)
+    if name in ("chunks", "tiles"):
         n = 1200
         g = build_graph(rng.integers(0, n, size=(3600, 2)), n)
+    elif name in ("below_one_tile", "single_edge_tiles"):
+        n = 40
+        g = build_graph(rng.integers(0, n, size=(15, 2)), n)
     else:
         n = 300
         g = random_graph(rng, n, 0.035)
@@ -432,12 +455,20 @@ def _kernel_case(name):
 
 class TestRegularizerKernelBitEquality:
     @pytest.mark.parametrize("name", ["chunks", "skipped", "repeated", "k1",
-                                      "fortran", "transposed"])
+                                      "fortran", "transposed", "tiles",
+                                      "below_one_tile", "single_edge_tiles"])
     def test_value_and_gradient_equal_the_reference_loop(self, name):
         z, g, negs, k = _kernel_case(name)
-        if name == "chunks":
-            rows = negs.shape[0]
+        rows = negs.shape[0]
+        tile = max(1, losses._TILE_FLOATS // (k * z.shape[1]))
+        if name in ("chunks", "tiles"):
             assert rows > 3 * losses._EDGE_CHUNK and rows % losses._EDGE_CHUNK
+        if name == "tiles":  # each full chunk spans several tiles and ends in a partial one
+            assert 1 < tile < losses._EDGE_CHUNK and losses._EDGE_CHUNK % tile
+        if name == "below_one_tile":
+            assert rows < tile
+        if name == "single_edge_tiles":
+            assert tile == 1 and rows > 1
         if name == "skipped":
             assert negs.shape[0] < 2 * g.num_edges
         if name in ("fortran", "transposed"):

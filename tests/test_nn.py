@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from pugraph.errors import ConfigError
+from pugraph.errors import ConfigError, InputError
 from pugraph.graph import build_graph, normalize_adjacency
-from pugraph.nn import (HIDDEN_DIM, ParamStore, gcn_backward, gcn_forward,
-                        init_params, load_checkpoint, pairwise_similarity,
+from pugraph.nn import (HIDDEN_DIM, ParamStore, forward_from_propagated,
+                        gcn_backward, gcn_forward, init_params,
+                        load_checkpoint, pairwise_similarity,
                         save_checkpoint, sigmoid)
 
 from conftest import assert_grad_close, numeric_grad_params, random_graph
@@ -95,6 +98,40 @@ class TestForward:
             gcn_forward(adj, np.zeros((3, 4)), init_params(4, 0))
         with pytest.raises(ConfigError):
             gcn_forward(adj, np.zeros((2, 5)), init_params(4, 0))
+        with pytest.raises(ConfigError, match="features have 5 columns, W1 expects 4"):
+            forward_from_propagated(adj, np.zeros((2, 5)), init_params(4, 0))
+
+
+class TestFirstLayerProducts:
+    """The first layer's products run transposed; they must stay the plain ones."""
+
+    def _case(self):
+        rng = np.random.default_rng(12)
+        n, f = 300, 600
+        adj = normalize_adjacency(random_graph(rng, n, 0.02))
+        ax = adj.matmul(rng.random((n, f)))
+        params = init_params(f, 2)
+        params.values["b1"][...] = rng.normal(size=HIDDEN_DIM) * 0.1
+        return rng, adj, ax, params
+
+    def test_pre_activation_matches_the_plain_product(self):
+        _, adj, ax, params = self._case()
+        cache = forward_from_propagated(adj, ax, params)
+        pre1 = ax @ params.values["W1"] + params.values["b1"]
+        assert (pre1 > 0).any() and (pre1 < 0).any()
+        np.testing.assert_allclose(cache.h1, np.maximum(pre1, 0.0), rtol=1e-13, atol=0)
+        assert cache.h1.flags.c_contiguous and cache.z.flags.c_contiguous
+
+    def test_w1_gradient_matches_the_plain_product(self):
+        rng, adj, ax, params = self._case()
+        cache = forward_from_propagated(adj, ax, params)
+        d_yhat, d_z = rng.normal(size=ax.shape[0]), rng.normal(size=cache.z.shape)
+        params.zero_grad()
+        gcn_backward(cache, d_yhat, d_z, params)
+        v, s = params.values, cache.y_hat
+        dz = d_z + np.outer(d_yhat * s * (1.0 - s), v["w_head"])
+        dpre1 = np.where(cache.h1 > 0.0, adj.matmul(dz @ v["W2"].T), 0.0)
+        np.testing.assert_allclose(params.grads["W1"], ax.T @ dpre1, rtol=1e-13, atol=0)
 
 
 class TestBackward:
@@ -205,3 +242,31 @@ class TestCheckpoint:
         save_checkpoint(p1, params)
         save_checkpoint(p2, params.copy())
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rejects_a_checkpoint_that_does_not_fit_the_model(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(7, 8))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        arrays = meta["arrays"]
+
+        def header_with(param, **fields):  # one parameter's entry changed or dropped
+            edited = [dict(m, **fields) if m["name"] == param else m for m in arrays
+                      if m["name"] != param or fields]
+            return json.dumps(dict(meta, arrays=edited)).encode()
+
+        w1_offset = next(m["offset"] for m in arrays if m["name"] == "W1")
+        cases = [
+            (header, payload[:100]),                             # truncated
+            (header, payload + bytes(8)),                        # trailing bytes
+            (header_with("b2"), payload),                        # missing name
+            (header_with("W2", name="W3"), payload),             # unknown name
+            (header_with("W1", shape=[8, 14]), payload),         # wrong shape
+            (header_with("W2", offset=w1_offset), payload),      # overlapping arrays
+            (b"\xff not json", payload),                         # unreadable header
+        ]
+        for i, (head, body) in enumerate(cases):
+            bad = tmp_path / f"bad{i}.bin"
+            bad.write_bytes(head + b"\n" + body)
+            with pytest.raises(InputError):
+                load_checkpoint(bad)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pugraph.data import build_dataset
+from pugraph.data import build_dataset, save_jsonl
 from pugraph.errors import ConfigError, InputError, TrainingAbort
 from pugraph.graph import build_graph, normalize_adjacency
 from pugraph.losses import LossConfig, distpu_loss
@@ -366,15 +366,42 @@ class TestTrain:
             ref.edge_negatives(src[ok], dst[ok], 5)
             assert rec["sampler"] == {k: v - before[k] for k, v in ref.counts.items()}
             assert rec["sampler"]["draws"] >= 5 * ok.sum()
-            # the epoch's wall time split into phases, none overlapping
+            # the epoch's wall time split into phases, none overlapping, and
+            # the objective's time split into its parts
             phases = rec["phase_ms"]
-            assert sorted(phases) == ["adam", "backward", "forward", "objective"]
+            assert sorted(phases) == ["adam", "backward", "forward", "objective",
+                                      "pu_loss", "regularizer", "sampler"]
             assert all(v >= 0.0 for v in phases.values())
-            assert sum(phases.values()) <= rec["wall_time_ms"]
+            assert sum(phases[p] for p in ("forward", "objective", "backward", "adam")) \
+                <= rec["wall_time_ms"]
+            parts = [phases[p] for p in ("pu_loss", "sampler", "regularizer")]
+            assert all(p <= phases["objective"] for p in parts)
+            assert sum(parts) <= phases["objective"]
+            assert rec["pairs"] == src.size + 5 * ok.sum()
+            assert rec["skipped_edges"] == (~ok).sum()
         cfg.loss.alpha = 0.0
         _, log = train(ds, cfg)
         assert all(rec["sampler"] == {"draws": 0, "redraw_rounds": 0, "exact_checks": 0}
                    for rec in log)
+        assert all(rec["pairs"] == 0 and rec["skipped_edges"] == 0 for rec in log)
+
+    def test_log_counts_the_edges_of_a_node_adjacent_to_all(self, tmp_path):
+        # node 0 has no non-neighbors: its 59 directed edges skip their negatives
+        n, k = 60, 3
+        rng = np.random.default_rng(8)
+        edges = np.vstack([rng.integers(1, n, size=(90, 2)), [(0, j) for j in range(1, n)]])
+        graph = build_graph(edges, n)
+        labels = ["pos" if i % 2 else "neg" for i in range(n)]
+        save_jsonl(tmp_path / "hub.jsonl", graph, rng.random((n, 4)), labels)
+        manifest = {"name": "hub", "format": "jsonl", "path": str(tmp_path / "hub.jsonl"),
+                    "positive_classes": ["pos"], "train_fraction": 0.5, "split_seed": 0}
+        ds = build_dataset(manifest, 0.2, 0, 2)
+        cfg = TrainConfig(epochs=2, loss=LossConfig(kind="distance_aware", delta=2, k=k))
+        _, log = train(ds, cfg)
+        src, _ = graph.directed_edges()
+        for rec in log:
+            assert rec["skipped_edges"] == n - 1 > 0
+            assert rec["pairs"] == src.size + k * (src.size - (n - 1))
 
     def test_invalid_config_rejected(self):
         ds = build_dataset(small_manifest(), 0.02, 0, 2)
