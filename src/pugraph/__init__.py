@@ -18,8 +18,7 @@ from .losses import (LossConfig, LossValue, combined_objective,
                      distance_aware_loss, distpu_loss, naive_loss, nnpu_loss,
                      structural_regularizer)
 from .nn import (ForwardCache, ParamStore, gcn_backward, gcn_forward,
-                 init_params, load_checkpoint, pairwise_similarity,
-                 save_checkpoint)
+                 init_params, load_checkpoint, save_checkpoint)
 from .train import Adam, NegativeSampler, TrainConfig, train
 
 __all__ = [
@@ -33,6 +32,6 @@ __all__ = [
     "LossConfig", "LossValue", "combined_objective", "distance_aware_loss",
     "distpu_loss", "naive_loss", "nnpu_loss", "structural_regularizer",
     "ForwardCache", "ParamStore", "gcn_backward", "gcn_forward",
-    "init_params", "load_checkpoint", "pairwise_similarity", "save_checkpoint",
+    "init_params", "load_checkpoint", "save_checkpoint",
     "Adam", "NegativeSampler", "TrainConfig", "train",
 ]

@@ -11,6 +11,9 @@ A run is described by one JSON config document::
 
 ``--override key=value`` patches the document with dotted paths
 (e.g. ``--override loss.alpha=0``); values are parsed as JSON when possible.
+A loss key takes a sweep method's pin, else a sweep cell's knob, else the
+``loss`` section, else the LossConfig default; ``"pi_p": "auto"`` (or none)
+is the true positive rate, an oracle read from the true labels.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric abort.
 """
 
@@ -20,18 +23,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
-from .data import build_dataset, load_jsonl, make_sbm_dataset, save_jsonl
+from .data import build_dataset, make_sbm_dataset, prepare_dataset, save_jsonl
 from .errors import (EXIT_CODES, ConfigError, InputError, TrainingAbort,
                      error_kind)
-from .evaluate import (DEFAULT_RATIOS, MAIN_METHODS, aggregate, run_ablation,
-                       run_grid, run_sensitivity, score, write_results_csv)
+from .evaluate import (DEFAULT_RATIOS, MAIN_METHODS, aggregate,
+                       check_field_types, resolve_loss, run_ablation, run_grid,
+                       run_sensitivity, score, write_results_csv)
 from .graph import partition_unlabeled
-from .losses import LossConfig
 from .nn import load_checkpoint, save_checkpoint
 from .published import external_rows
 from .train import TrainConfig, train
@@ -78,6 +81,13 @@ def _load_config(path: str, overrides) -> dict:
     return _apply_overrides(config, overrides)
 
 
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {name!r} section must be a JSON object, got {section!r}")
+    return dict(section)
+
+
 def _resolve_data_path(path: str, config_dir: str) -> str:
     """Absolute as-is; else try cwd, the config's directory, then $PUGRAPH_DATA."""
     if os.path.isabs(path) or os.path.exists(path):
@@ -92,7 +102,7 @@ def _resolve_data_path(path: str, config_dir: str) -> str:
 
 
 def _resolve_manifest(config: dict, config_path: str) -> dict:
-    manifest = dict(config.get("dataset") or {})
+    manifest = _section(config, "dataset")
     if not manifest:
         raise ConfigError("config is missing the 'dataset' section")
     config_dir = os.path.dirname(os.path.abspath(config_path))
@@ -102,28 +112,31 @@ def _resolve_manifest(config: dict, config_path: str) -> dict:
     return manifest
 
 
-def _train_config(config: dict, seed_flag, loss_cfg: LossConfig) -> TrainConfig:
-    section = dict(config.get("train") or {})
-    if seed_flag is not None:
-        section["seed"] = seed_flag
+def _train_config(config: dict, seed: int | None = None) -> TrainConfig:
+    section = _section(config, "train")
+    if seed is not None:
+        section["seed"] = seed
     try:
-        cfg = TrainConfig(**section, loss=loss_cfg)
+        cfg = TrainConfig(**section)
     except TypeError as exc:
-        raise ConfigError(f"bad 'train' section: {exc}")
+        raise ConfigError(f"bad 'train' section: {exc}") from None
+    check_field_types(cfg, "train")
     cfg.validate()
     return cfg
 
 
-def _loss_config(config: dict, positive_prior: float | None) -> LossConfig:
-    section = dict(config.get("loss") or {})
-    if section.get("pi_p") in (None, "auto"):
-        section["pi_p"] = positive_prior if positive_prior is not None else 0.5
+def _setup_run(config: dict, args):
+    """A run's manifest, label ratio, TrainConfig (resolved loss, run seed) and dataset."""
+    manifest = _resolve_manifest(config, args.config)
     try:
-        cfg = LossConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad 'loss' section: {exc}")
-    cfg.validate()
-    return cfg
+        label_ratio = float(config.get("label_ratio", 0.01))
+    except (TypeError, ValueError):
+        raise ConfigError(f"label_ratio {config['label_ratio']!r} is not a number") from None
+    prepared = prepare_dataset(manifest)
+    loss = resolve_loss(_section(config, "loss"), prepared)
+    cfg = replace(_train_config(config, args.seed), loss=loss)
+    dataset = build_dataset(prepared, label_ratio, cfg.seed, loss.delta)
+    return manifest, label_ratio, cfg, dataset
 
 
 def _write_json(path, payload):
@@ -133,6 +146,7 @@ def _write_json(path, payload):
 
 
 def _write_run_manifest(out_dir: str, config_path: str, resolved: dict):
+    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "config_path": os.path.abspath(config_path),
         "resolved_config": resolved,
@@ -159,16 +173,9 @@ def _thread_note() -> dict:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, args.override)
-    manifest = _resolve_manifest(config, args.config)
+    manifest, label_ratio, cfg, dataset = _setup_run(config, args)
     out_dir = args.out or "run_out"
-    os.makedirs(out_dir, exist_ok=True)
     _write_run_manifest(out_dir, args.config, config)
-    label_ratio = float(config.get("label_ratio", 0.01))
-    seed = args.seed if args.seed is not None else int(config.get("train", {}).get("seed", 0))
-    delta = int(config.get("loss", {}).get("delta", LossConfig.delta))
-    dataset = build_dataset(manifest, label_ratio, seed, delta)
-    loss_cfg = _loss_config(config, dataset.positive_prior)
-    cfg = _train_config(config, seed, loss_cfg)
     t0 = time.perf_counter()
     try:
         params, records = train(dataset, cfg)
@@ -182,9 +189,9 @@ def cmd_train(args) -> int:
     metrics = score(dataset, params)
     _write_json(os.path.join(out_dir, "result.json"), {
         "dataset": manifest.get("name", "unnamed"),
-        "seed": seed,
+        "seed": cfg.seed,
         "label_ratio": label_ratio,
-        "loss": asdict(loss_cfg),
+        "loss": asdict(cfg.loss),
         **asdict(metrics),
         "wall_time_s": time.perf_counter() - t0,
         "threads": _thread_note(),
@@ -198,30 +205,22 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config, args.override)
     manifest = _resolve_manifest(config, args.config)
     out_dir = args.out or f"sweep_{args.kind}"
-    os.makedirs(out_dir, exist_ok=True)
     _write_run_manifest(out_dir, args.config, config)
     seeds = range(args.seeds)
     ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_RATIOS
-    loss_cfg = _loss_config(config, None)
-    base = _train_config(config, None, loss_cfg)
-    loss_overrides = dict(config.get("loss") or {})
+    base = _train_config(config)  # each cell resolves its own loss
+    loss = _section(config, "loss")
     if args.kind == "main":
-        results = run_grid(manifest, MAIN_METHODS, ratios, seeds, base,
-                           loss_overrides, jobs=args.jobs)
-        extra = external_rows(manifest.get("name", ""))
+        results = run_grid(manifest, MAIN_METHODS, ratios, seeds, base, loss, jobs=args.jobs)
     elif args.kind == "ablation":
-        results = run_ablation(manifest, ratios, seeds, base, jobs=args.jobs)
-        extra = []
+        results = run_ablation(manifest, ratios, seeds, base, loss, jobs=args.jobs)
     elif args.kind == "prior":
-        results = run_sensitivity(manifest, args.ratio, seeds, base, jobs=args.jobs,
+        results = run_sensitivity(manifest, args.ratio, seeds, base, loss, jobs=args.jobs,
                                   deltas=())["prior"]
-        extra = []
-    elif args.kind == "delta":
-        results = run_sensitivity(manifest, args.ratio, seeds, base, jobs=args.jobs,
+    else:  # delta; argparse admits no other kind
+        results = run_sensitivity(manifest, args.ratio, seeds, base, loss, jobs=args.jobs,
                                   pi_hats=())["delta"]
-        extra = []
-    else:
-        raise ConfigError(f"unknown sweep kind {args.kind!r}")
+    extra = external_rows(manifest.get("name", "")) if args.kind == "main" else []
     write_results_csv(os.path.join(out_dir, "runs.csv"), results)
     _write_json(os.path.join(out_dir, "aggregate.json"),
                 {"rows": aggregate(results), "external": extra})
@@ -239,14 +238,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    config = _load_config(args.config, args.override)
-    manifest = _resolve_manifest(config, args.config)
-    label_ratio = float(config.get("label_ratio", 0.01))
-    seed = args.seed if args.seed is not None else 0
     if args.delta is not None and args.delta < 1:
         raise ConfigError(f"delta must be >= 1, got {args.delta}")
     deltas = [args.delta] if args.delta is not None else list(range(1, 7))
-    dataset = build_dataset(manifest, label_ratio, seed, deltas[0])
+    _, _, _, dataset = _setup_run(_load_config(args.config, args.override), args)
     dist = dataset.partition.min_dist
     finite = dist[np.isfinite(dist)].astype(int)
     print(f"labeled |V_L| = {dataset.partition.labeled.size}")
@@ -286,12 +281,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config, args.override)
-    manifest = _resolve_manifest(config, args.config)
-    label_ratio = float(config.get("label_ratio", 0.01))
-    seed = args.seed if args.seed is not None else int(config.get("train", {}).get("seed", 0))
-    delta = int(config.get("loss", {}).get("delta", LossConfig.delta))
-    dataset = build_dataset(manifest, label_ratio, seed, delta)
+    manifest, _, _, dataset = _setup_run(_load_config(args.config, args.override), args)
     metrics = score(dataset, load_checkpoint(args.checkpoint))
     payload = {
         "dataset": manifest.get("name", "unnamed"),

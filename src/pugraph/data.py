@@ -58,6 +58,11 @@ class PreparedDataset:
     test_mask: np.ndarray       # bool, complement of train_mask
     propagation: tuple | None = None
 
+    @property
+    def positive_prior(self) -> float:
+        """Fraction of true positives over all nodes (transductive prior)."""
+        return float(np.mean(self.true_label))
+
 
 @dataclass
 class PUDataset:
@@ -72,15 +77,11 @@ class PUDataset:
     true_label = property(lambda self: self.prepared.true_label)
     train_mask = property(lambda self: self.prepared.train_mask)
     test_mask = property(lambda self: self.prepared.test_mask)
+    positive_prior = property(lambda self: self.prepared.positive_prior)
 
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
-
-    @property
-    def positive_prior(self) -> float:
-        """Fraction of true positives over all nodes (transductive prior)."""
-        return float(np.mean(self.true_label))
 
 
 def load_content_cites(content_path, cites_path):

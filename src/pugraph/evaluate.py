@@ -8,18 +8,21 @@ changing any result.
 A grid prepares its dataset once (`data.prepare_dataset`); each cell draws
 its PU mask and partition from it, so a cell's wall_time excludes the shared
 preparation, apart from A_hat @ X, built by the first cell a process trains.
-A failed preparation is recorded on every cell.
+A failed preparation is recorded on every cell. A cell's loss comes from
+`resolve_loss`, the one resolver (`pugraph train` and `eval` use it too): its
+method's pins (METHOD_LOSS), then its own knobs, then the grid's loss_overrides.
 """
 
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 from .data import PreparedDataset, build_dataset, prepare_dataset
-from .errors import InputError, error_kind
+from .errors import ConfigError, InputError, error_kind
 from .graph import normalize_adjacency  # noqa: F401  (perfbench wraps it here)
 from .losses import LossConfig
 from .nn import forward_from_propagated
@@ -28,7 +31,7 @@ from .train import TrainConfig, propagate, train
 MAIN_METHODS = ("naive", "nnpu", "distpu", "pugnn")
 DEFAULT_RATIOS = (0.001, 0.002, 0.005, 0.01)
 
-# Loss settings per method; fields not listed fall back to LossConfig defaults.
+# Each method's pinned loss settings; they win over a cell's loss_overrides.
 METHOD_LOSS = {
     "naive": {"kind": "naive", "alpha": 0.0},
     "nnpu": {"kind": "nnpu", "alpha": 0.0},
@@ -107,21 +110,30 @@ def macro_f1(y_hat: np.ndarray, true_label: np.ndarray,
     return MetricSummary((f1_pos + f1_neg) / 2.0, f1_pos, f1_neg, c)
 
 
-def _method_loss(method: str) -> dict:
-    if method not in METHOD_LOSS:
-        raise InputError(f"unknown method {method!r}; expected one of {sorted(METHOD_LOSS)}")
-    return METHOD_LOSS[method]
+def check_field_types(cfg, section: str):
+    """ConfigError unless each field of the dataclass `cfg` holds a value of
+    its declared type; an int counts as a float, a bool as no number."""
+    for f in fields(cfg):
+        value, kind = getattr(cfg, f.name), {int: Integral, float: Real}.get(f.type, f.type)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{section}.{f.name} must be {f.type.__name__}, got {value!r}")
 
 
-def resolve_loss_config(method: str, loss_overrides: dict | None = None,
-                        positive_prior: float | None = None) -> LossConfig:
-    """Build the LossConfig for a named method; pi_p='auto' resolves to the
-    dataset's transductive positive prior."""
-    # the method's own settings win over sweep overrides for the keys they pin
-    settings = {**(loss_overrides or {}), **_method_loss(method)}
-    if settings.get("pi_p") in (None, "auto"):
-        settings["pi_p"] = positive_prior if positive_prior is not None else 0.5
-    cfg = LossConfig(**settings)
+def resolve_loss(settings: dict, prepared: PreparedDataset) -> LossConfig:
+    """The LossConfig of a loss section (absent keys take the defaults).
+
+    pi_p "auto" or absent becomes the true positive rate of `prepared`, an
+    oracle read from the true labels. Raises ConfigError for an unknown key
+    or a value of the wrong type or out of range.
+    """
+    section = dict(settings)
+    if section.get("pi_p") in (None, "auto"):
+        section["pi_p"] = prepared.positive_prior
+    try:
+        cfg = LossConfig(**section)
+    except TypeError as exc:
+        raise ConfigError(f"bad 'loss' section: {exc}") from None
+    check_field_types(cfg, "loss")
     cfg.validate()
     return cfg
 
@@ -144,19 +156,17 @@ def run_single(source, method: str, ratio: float, seed: int,
     """Train one cell on a manifest or PreparedDataset and score it on the test
     mask. wall_time covers drawing the PU mask and partition, training and
     scoring, and the preparation only if `source` is a manifest."""
-    base = train_config or TrainConfig()
-    # peek at the loss settings to know delta before building the partition
-    probe = dict(_method_loss(method))
-    probe.update(loss_overrides or {})
-    delta = int(probe.get("delta", LossConfig.delta))
+    if method not in METHOD_LOSS:
+        raise InputError(f"unknown method {method!r}; expected one of {sorted(METHOD_LOSS)}")
     t0 = time.perf_counter()
-    dataset = build_dataset(source, ratio, seed, delta)
-    loss_cfg = resolve_loss_config(method, loss_overrides, dataset.positive_prior)
-    cfg = replace(base, seed=seed, loss=loss_cfg)
+    prepared = source if isinstance(source, PreparedDataset) else prepare_dataset(source)
+    loss_cfg = resolve_loss({**(loss_overrides or {}), **METHOD_LOSS[method]}, prepared)
+    dataset = build_dataset(prepared, ratio, seed, loss_cfg.delta)
+    cfg = replace(train_config or TrainConfig(), seed=seed, loss=loss_cfg)
     params, _ = train(dataset, cfg)
     metrics = score(dataset, params)
     wall = time.perf_counter() - t0
-    manifest = dataset.prepared.manifest
+    manifest = prepared.manifest
     snapshot = {"train": asdict(cfg), "dataset": dict(manifest)}
     return ExperimentResult(_cell(manifest, method, ratio, cell_extra), seed,
                             metrics.macro_f1, metrics.f1_pos, metrics.f1_neg,
@@ -215,7 +225,8 @@ def run_grid(manifest: dict, methods=MAIN_METHODS, ratios=DEFAULT_RATIOS,
 
 
 def run_ablation(manifest: dict, ratios=DEFAULT_RATIOS, seeds=range(5),
-                 train_config: TrainConfig | None = None, jobs: int = 1,
+                 train_config: TrainConfig | None = None,
+                 loss_overrides: dict | None = None, jobs: int = 1,
                  ) -> list[ExperimentResult]:
     """Component ablation: full model, regularizer-only, PU-loss-only, plain GCN.
 
@@ -228,28 +239,24 @@ def run_ablation(manifest: dict, ratios=DEFAULT_RATIOS, seeds=range(5),
         "pugnn_noreg": "pu_loss_only",
         "naive": "gcn",
     }
-    spec = [(m, r, s, train_config, None, {"variant": label})
+    spec = [(m, r, s, train_config, loss_overrides, {"variant": label})
             for m, label in variants.items() for r in ratios for s in seeds]
     return _run_jobs(manifest, spec, jobs)
 
 
 def run_sensitivity(manifest: dict, ratio: float = 0.002, seeds=range(5),
-                    train_config: TrainConfig | None = None, jobs: int = 1,
+                    train_config: TrainConfig | None = None,
+                    loss_overrides: dict | None = None, jobs: int = 1,
                     pi_hats=(0.5, 0.6, 0.7, 0.8, 0.9),
                     pi_breves=(0.1, 0.2, 0.3, 0.4),
                     deltas=(1, 2, 3, 4, 5),
                     ) -> dict[str, list[ExperimentResult]]:
     """Prior grid (pi_hat > pi_breve only) and delta sweep for the full model."""
-    prior_spec = []
-    for ph in pi_hats:
-        for pb in pi_breves:
-            if not ph > pb:
-                continue
-            prior_spec.extend(
-                ("pugnn", ratio, s, train_config,
-                 {"pi_hat": ph, "pi_breve": pb}, {"pi_hat": ph, "pi_breve": pb})
-                for s in seeds)
-    delta_spec = [("pugnn", ratio, s, train_config, {"delta": d}, {"delta": d})
+    base = loss_overrides or {}
+    priors = [{"pi_hat": ph, "pi_breve": pb} for ph in pi_hats for pb in pi_breves if ph > pb]
+    prior_spec = [("pugnn", ratio, s, train_config, {**base, **knobs}, knobs)
+                  for knobs in priors for s in seeds]
+    delta_spec = [("pugnn", ratio, s, train_config, {**base, "delta": d}, {"delta": d})
                   for d in deltas for s in seeds]
     results = _run_jobs(manifest, prior_spec + delta_spec, jobs)
     return {"prior": results[:len(prior_spec)], "delta": results[len(prior_spec):]}

@@ -45,11 +45,6 @@ class Graph:
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        k = np.searchsorted(row, j)
-        return bool(k < row.size and row[k] == j)
-
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All (src, dst) pairs in CSR order; each undirected edge appears twice."""
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
@@ -99,12 +94,6 @@ class NormalizedAdjacency:
             del prod  # the next block's gather reuses its memory
             lo = hi
         return out[:, 0] if squeeze else out
-
-    def to_dense(self) -> np.ndarray:
-        mat = np.zeros((self.num_nodes, self.num_nodes))
-        src = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
-        mat[src, self.indices] = self.weights
-        return mat
 
 
 @dataclass(frozen=True)

@@ -165,13 +165,6 @@ def gcn_backward(cache: ForwardCache, d_yhat: np.ndarray, d_z: np.ndarray,
     g["b1"] += dpre1.sum(axis=0)
 
 
-def pairwise_similarity(z: np.ndarray, i: int, j: int) -> float:
-    """sigmoid(z_i . z_j); symmetric in (i, j)."""
-    if not (0 <= i < z.shape[0] and 0 <= j < z.shape[0]):
-        raise InputError(f"node ids ({i}, {j}) out of range for {z.shape[0]} rows")
-    return float(sigmoid(z[i] @ z[j]))
-
-
 # --- checkpoint format: one JSON header line, then raw little-endian float64 ---
 
 def save_checkpoint(path, params: ParamStore):

@@ -6,7 +6,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pugraph.graph import Graph, build_graph
+from pugraph.graph import Graph, NormalizedAdjacency, build_graph
+from pugraph.nn import sigmoid
+
+
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    """Whether j is a neighbor of i, by binary search in i's sorted row."""
+    row = g.neighbors(i)
+    k = np.searchsorted(row, j)
+    return bool(k < row.size and row[k] == j)
+
+
+def dense_adjacency(adj: NormalizedAdjacency) -> np.ndarray:
+    """The n x n matrix of a NormalizedAdjacency; the matmul oracle."""
+    mat = np.zeros((adj.num_nodes, adj.num_nodes))
+    src = np.repeat(np.arange(adj.num_nodes), np.diff(adj.indptr))
+    mat[src, adj.indices] = adj.weights
+    return mat
+
+
+def pairwise_similarity(z: np.ndarray, i: int, j: int) -> float:
+    """sigmoid(z_i . z_j); symmetric in (i, j)."""
+    return float(sigmoid(z[i] @ z[j]))
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

@@ -3,7 +3,9 @@ import json
 import re
 
 import numpy as np
+import pytest
 
+from pugraph import evaluate
 from pugraph.cli import main
 from pugraph.evaluate import MAIN_METHODS
 from pugraph.nn import load_checkpoint
@@ -115,6 +117,15 @@ class TestTrainCommand:
         assert code == 2
         assert "pugraph-error kind=data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "loss.delta=abc", "label_ratio=abc", "loss=null", "train=null", "loss.bogus=1",
+        "train.epochs=abc"])
+    def test_a_bad_config_value_exits_1(self, tmp_path, capsys, override):
+        code = main(["train", "--config", str(write_config(tmp_path)),
+                     "--override", override, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "pugraph-error kind=config exit=1" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_main_sweep_exits_0_with_one_row_per_method(self, tmp_path, capsys):
@@ -167,6 +178,56 @@ class TestSweepCommand:
             assert len(row["errors"]) == 2
             assert all(e.startswith("FileNotFoundError") and "absent.content" in e
                        for e in row["errors"])
+
+
+def spy_losses(monkeypatch) -> list:
+    """Wrap evaluate.train so that it records the LossConfig of every call."""
+    losses, original = [], evaluate.train
+
+    def wrapper(dataset, config):
+        losses.append(config.loss)
+        return original(dataset, config)
+
+    monkeypatch.setattr(evaluate, "train", wrapper)
+    return losses
+
+
+class TestSweepLossSection:
+    """Every sweep kind trains with the config's loss section, under the
+    method's pins and the cell's own knobs."""
+
+    def sweep(self, tmp_path, kind, *extra, **loss):
+        config_path = write_config(tmp_path, train={"epochs": 2}, loss={
+            "kind": "distance_aware", "delta": 2, "k": 5, **loss})
+        code = main(["sweep", kind, "--config", str(config_path), "--out",
+                     str(tmp_path / kind), "--seeds", "1", *extra])
+        assert code == 0
+
+    def test_ablation_trains_every_cell_with_the_config_delta(self, tmp_path, monkeypatch):
+        losses = spy_losses(monkeypatch)
+        self.sweep(tmp_path, "ablation", "--ratios", "0.02")
+        assert len(losses) == 4
+        assert all(loss.delta == 2 and loss.k == 5 for loss in losses)
+
+    def test_prior_sweep_takes_the_alpha_override(self, tmp_path, monkeypatch):
+        losses = spy_losses(monkeypatch)
+        self.sweep(tmp_path, "prior", "--ratio", "0.02", "--override", "loss.alpha=0")
+        assert len(losses) == 20
+        assert all(loss.alpha == 0 and loss.delta == 2 for loss in losses)
+        assert len({(loss.pi_hat, loss.pi_breve) for loss in losses}) == 20
+
+    def test_delta_sweep_keeps_the_config_priors(self, tmp_path, monkeypatch):
+        losses = spy_losses(monkeypatch)
+        self.sweep(tmp_path, "delta", "--ratio", "0.02", pi_hat=0.7, pi_breve=0.2)
+        assert [loss.delta for loss in losses] == [1, 2, 3, 4, 5]
+        assert all((loss.pi_hat, loss.pi_breve) == (0.7, 0.2) for loss in losses)
+
+    def test_main_sweep_lets_the_method_pins_win(self, tmp_path, monkeypatch):
+        losses = spy_losses(monkeypatch)
+        self.sweep(tmp_path, "main", "--ratios", "0.02", alpha=0.02)
+        assert {(loss.kind, loss.alpha) for loss in losses} == {
+            ("naive", 0.0), ("nnpu", 0.0), ("distpu", 0.0), ("distance_aware", 0.02)}
+        assert all(loss.delta == 2 for loss in losses)
 
 
 class TestPartitionCommand:

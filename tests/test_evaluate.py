@@ -105,3 +105,9 @@ class TestGrids:
         (result,) = run_grid(small_manifest(), ("bogus",), (0.02,), range(1))
         assert result.error.startswith("InputError: unknown method 'bogus'")
         assert result.error_kind == "data"
+
+    def test_an_unknown_loss_key_is_recorded_as_a_config_error(self):
+        (result,) = run_grid(small_manifest(), ("naive",), (0.02,), range(1), FAST,
+                             {"bogus": 1})
+        assert result.error.startswith("ConfigError: bad 'loss' section")
+        assert result.error_kind == "config"

@@ -7,10 +7,10 @@ from pugraph.errors import ConfigError, InputError
 from pugraph.graph import build_graph, normalize_adjacency
 from pugraph.nn import (HIDDEN_DIM, ParamStore, forward_from_propagated,
                         gcn_backward, gcn_forward, init_params,
-                        load_checkpoint, pairwise_similarity,
-                        save_checkpoint, sigmoid)
+                        load_checkpoint, save_checkpoint, sigmoid)
 
-from conftest import assert_grad_close, numeric_grad_params, random_graph
+from conftest import (assert_grad_close, numeric_grad_params,
+                      pairwise_similarity, random_graph)
 
 
 def zero_params(feature_dim):
