@@ -8,8 +8,8 @@ regularizer that aligns representation similarity with the graph.
 
 __version__ = "0.1.0"
 
-from .data import (BinaryMapping, PreparedDataset, PUDataset, build_dataset,
-                   make_pu_split, prepare_dataset)
+from .data import (PreparedDataset, PUDataset, build_dataset, make_pu_split,
+                   prepare_dataset)
 from .evaluate import macro_f1, run_ablation, run_grid, run_sensitivity, score
 from .graph import (DistancePartition, Graph, NormalizedAdjacency, build_graph,
                     generate_sbm, multi_source_bfs, normalize_adjacency,
@@ -23,8 +23,7 @@ from .train import Adam, NegativeSampler, TrainConfig, train
 
 __all__ = [
     "__version__",
-    "BinaryMapping", "PreparedDataset", "PUDataset", "build_dataset",
-    "make_pu_split", "prepare_dataset",
+    "PreparedDataset", "PUDataset", "build_dataset", "make_pu_split", "prepare_dataset",
     "macro_f1", "run_ablation", "run_grid", "run_sensitivity", "score",
     "DistancePartition", "Graph", "NormalizedAdjacency", "build_graph",
     "generate_sbm", "multi_source_bfs", "normalize_adjacency",

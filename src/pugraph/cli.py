@@ -34,7 +34,6 @@ from .errors import (EXIT_CODES, ConfigError, InputError, TrainingAbort,
 from .evaluate import (DEFAULT_RATIOS, MAIN_METHODS, aggregate,
                        check_field_types, resolve_loss, run_ablation, run_grid,
                        run_sensitivity, score, write_results_csv)
-from .graph import partition_unlabeled
 from .nn import load_checkpoint, save_checkpoint
 from .published import external_rows
 from .train import TrainConfig, train
@@ -78,6 +77,8 @@ def _load_config(path: str, overrides) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {config!r}")
     return _apply_overrides(config, overrides)
 
 
@@ -252,9 +253,10 @@ def cmd_partition(args) -> int:
     if unreachable:
         print(f"  unreachable: {unreachable}")
     print("delta  |near V_U|  |far V_U|")
+    unlabeled = dist[~dataset.labeled_mask]  # min_dist does not depend on delta
     for delta in deltas:
-        part = partition_unlabeled(dataset.graph, dataset.partition.labeled, delta)
-        print(f"{delta:>5}  {part.near_unlabeled.size:>10}  {part.far_unlabeled.size:>9}")
+        near = int(np.sum(unlabeled <= delta))
+        print(f"{delta:>5}  {near:>10}  {unlabeled.size - near:>9}")
     return 0
 
 

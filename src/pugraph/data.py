@@ -24,25 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import ConfigError, InputError, ParseError
 from .graph import (DistancePartition, Graph, build_graph, generate_sbm,
                     partition_unlabeled)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class BinaryMapping:
-    """Which original class ids count as positive."""
-
-    positive_classes: frozenset
-    source_class_count: int
-
-    def __post_init__(self):
-        if not self.positive_classes:
-            raise InputError("positive_classes must be nonempty")
-        if len(self.positive_classes) >= self.source_class_count:
-            raise InputError("positive_classes must be a strict subset of all classes")
 
 
 @dataclass
@@ -195,22 +181,6 @@ def save_jsonl(path, graph: Graph, features: np.ndarray, labels):
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def class_vocabulary(labels) -> dict[str, int]:
-    """Stable class-name -> integer-id mapping (sorted by name)."""
-    return {name: i for i, name in enumerate(sorted(set(labels)))}
-
-
-def binarize_labels(labels: np.ndarray, mapping: BinaryMapping) -> np.ndarray:
-    """Map integer class ids to {0, 1} per the mapping's positive set."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= mapping.source_class_count):
-        bad = labels[(labels < 0) | (labels >= mapping.source_class_count)][0]
-        raise InputError(f"class id {bad} outside [0, {mapping.source_class_count})")
-    positive = np.zeros(mapping.source_class_count, dtype=np.int64)
-    positive[list(mapping.positive_classes)] = 1
-    return positive[labels]
-
-
 def normalize_features(features: np.ndarray) -> np.ndarray:
     """Scale each row to unit L1 norm; zero rows stay zero."""
     features = np.asarray(features, dtype=np.float64)
@@ -275,10 +245,22 @@ def make_sbm_dataset(n_pos: int, n_neg: int, p_intra: float, p_inter: float,
     return graph, features, labels
 
 
+def _number(manifest: dict, key: str, default, kind=int):
+    """manifest[key], or the default, as a finite `kind`."""
+    value = manifest.get(key, default)
+    try:
+        number = kind(value)
+        if np.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"dataset.{key} must be a finite number, got {value!r}")
+
+
 def resolve_train_count(num_nodes: int, manifest: dict) -> int:
     if "train_count" in manifest:
-        return int(manifest["train_count"])
-    frac = float(manifest.get("train_fraction", 0.1))
+        return _number(manifest, "train_count", None)
+    frac = _number(manifest, "train_fraction", 0.1, float)
     return max(1, int(np.floor(frac * num_nodes + 0.5)))
 
 
@@ -291,12 +273,12 @@ def load_source(manifest: dict):
         return load_jsonl(manifest["path"])
     if fmt == "sbm":
         return make_sbm_dataset(
-            n_pos=int(manifest.get("n_pos", 200)),
-            n_neg=int(manifest.get("n_neg", 200)),
-            p_intra=float(manifest.get("p_intra", 0.05)),
-            p_inter=float(manifest.get("p_inter", 0.005)),
-            seed=int(manifest.get("graph_seed", 0)),
-            feature_dim=int(manifest.get("feature_dim", 8)),
+            n_pos=_number(manifest, "n_pos", 200),
+            n_neg=_number(manifest, "n_neg", 200),
+            p_intra=_number(manifest, "p_intra", 0.05, float),
+            p_inter=_number(manifest, "p_inter", 0.005, float),
+            seed=_number(manifest, "graph_seed", 0),
+            feature_dim=_number(manifest, "feature_dim", 8),
         )
     raise InputError(f"unknown dataset format {fmt!r}")
 
@@ -306,22 +288,22 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     the (optionally row-normalized) features and the train/test split, which
     uses the manifest's own `split_seed` so every run shares it."""
     graph, features, labels = load_source(manifest)
-    vocab = class_vocabulary(labels)
     positive_names = manifest.get("positive_classes")
     if not positive_names:
         raise InputError("dataset manifest must list positive_classes")
-    unknown = [c for c in positive_names if str(c) not in vocab]
+    classes, positive = set(labels), {str(c) for c in positive_names}
+    unknown = [c for c in positive_names if str(c) not in classes]
     if unknown:
         raise InputError(f"positive_classes {unknown} not present in the data "
-                         f"(classes: {sorted(vocab)})")
-    mapping = BinaryMapping(frozenset(vocab[str(c)] for c in positive_names), len(vocab))
-    int_labels = np.array([vocab[name] for name in labels], dtype=np.int64)
-    binary = binarize_labels(int_labels, mapping)
+                         f"(classes: {sorted(classes)})")
+    if len(positive) == len(classes):
+        raise InputError("positive_classes must be a strict subset of all classes")
+    binary = np.array([name in positive for name in labels], dtype=np.int64)
     if manifest.get("normalize_features", True):
         features = normalize_features(features)
     train_mask, test_mask = make_train_test_split(
         graph.num_nodes, resolve_train_count(graph.num_nodes, manifest),
-        int(manifest.get("split_seed", 0)))
+        _number(manifest, "split_seed", 0))
     return PreparedDataset(dict(manifest), graph, features, binary, train_mask, test_mask)
 
 

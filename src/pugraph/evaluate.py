@@ -16,7 +16,7 @@ method's pins (METHOD_LOSS), then its own knobs, then the grid's loss_overrides.
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -72,7 +72,6 @@ class ExperimentResult:
     f1_neg: float
     confusion: ConfusionCounts | None
     wall_time: float
-    config: dict
     error: str | None = None
     error_kind: str | None = None  # EXIT_CODES key of the error, if mapped
 
@@ -165,18 +164,15 @@ def run_single(source, method: str, ratio: float, seed: int,
     cfg = replace(train_config or TrainConfig(), seed=seed, loss=loss_cfg)
     params, _ = train(dataset, cfg)
     metrics = score(dataset, params)
-    wall = time.perf_counter() - t0
-    manifest = prepared.manifest
-    snapshot = {"train": asdict(cfg), "dataset": dict(manifest)}
-    return ExperimentResult(_cell(manifest, method, ratio, cell_extra), seed,
+    return ExperimentResult(_cell(prepared.manifest, method, ratio, cell_extra), seed,
                             metrics.macro_f1, metrics.f1_pos, metrics.f1_neg,
-                            metrics.confusion, wall, snapshot)
+                            metrics.confusion, time.perf_counter() - t0)
 
 
 def _failed(manifest: dict, spec, exc: Exception) -> ExperimentResult:
     method, ratio, seed, _, _, cell_extra = spec
     return ExperimentResult(_cell(manifest, method, ratio, cell_extra), seed,
-                            float("nan"), float("nan"), float("nan"), None, 0.0, {},
+                            float("nan"), float("nan"), float("nan"), None, 0.0,
                             error=f"{type(exc).__name__}: {exc}",
                             error_kind=error_kind(exc))
 

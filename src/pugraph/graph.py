@@ -61,7 +61,7 @@ class NormalizedAdjacency:
     weights: np.ndarray  # float64
 
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Sparse-dense product over blocks of rows.
+        """Product with a (num_nodes, d) operand, over blocks of rows.
 
         A block is a range of CSR rows [lo, hi) whose entries, gathered as
         whole rows of the operand, hold at most _GATHER_ELEMS elements; a
@@ -77,9 +77,6 @@ class NormalizedAdjacency:
             raise InputError(
                 f"dense operand has {dense.shape[0]} rows, graph has {self.num_nodes} nodes"
             )
-        squeeze = dense.ndim == 1
-        if squeeze:
-            dense = dense[:, None]
         out = np.empty((self.num_nodes, dense.shape[1]), dtype=np.float64)
         indptr = self.indptr
         entries = max(1, _GATHER_ELEMS // max(1, dense.shape[1]))
@@ -93,7 +90,7 @@ class NormalizedAdjacency:
             np.add.reduceat(prod, indptr[lo:hi] - a, axis=0, out=out[lo:hi])
             del prod  # the next block's gather reuses its memory
             lo = hi
-        return out[:, 0] if squeeze else out
+        return out
 
 
 @dataclass(frozen=True)

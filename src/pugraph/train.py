@@ -33,7 +33,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     weight_decay: float = 5e-4
     seed: int = 0
-    log_every: int = 1
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
@@ -43,8 +42,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
         self.loss.validate()
 
 
@@ -129,13 +126,6 @@ class NegativeSampler:
             pending = pending[bad]
         return out
 
-    def sample(self, node: int, k: int) -> np.ndarray:
-        if not 0 <= node < self.graph.num_nodes:
-            raise InputError(f"node id {node} out of range")
-        if self.non_neighbor_counts[node] == 0:
-            raise InputError(f"node {node} has no non-neighbors to sample from")
-        return self._draw(np.full(k, node, dtype=np.int64))
-
     def edge_negatives(self, src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
         """k draws from the non-neighbors of each src node; dst is unused here
         but part of the protocol so replay samplers can key on the edge."""
@@ -144,14 +134,15 @@ class NegativeSampler:
         return self._draw(np.repeat(src, k)).reshape(src.size, k)
 
 
+_BETAS = (0.9, 0.999)  # Adam's moment decay rates
+_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam with decoupled weight decay on the weights only."""
 
-    def __init__(self, learning_rate: float = 0.01, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, learning_rate: float = 0.01, weight_decay: float = 0.0):
         self.learning_rate = learning_rate
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m: dict = {}
@@ -162,7 +153,7 @@ class Adam:
             self._m = {k: np.zeros_like(p) for k, p in params.values.items()}
             self._v = {k: np.zeros_like(p) for k, p in params.values.items()}
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = _BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         m, v = self._m, self._v
@@ -170,7 +161,7 @@ class Adam:
             g = params.grads[name]
             m[name] = b1 * m[name] + (1.0 - b1) * g
             v[name] = b2 * v[name] + (1.0 - b2) * g * g
-            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + self.eps)
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + _EPS)
             if self.weight_decay > 0.0 and name in WEIGHT_NAMES:
                 update = update + self.weight_decay * p
             p -= self.learning_rate * update
@@ -255,24 +246,23 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
         t_adam = time.perf_counter()
         opt.step(params)
         t_end = time.perf_counter()
-        if epoch % config.log_every == 0 or epoch == config.epochs:
-            records.append({
-                "epoch": epoch,
-                "total": value.total,
-                "parts": {k: float(p) for k, p in value.parts.items()},
-                "grad_norm": gnorm,
-                "frac_clipped": float(clipped.mean()),
-                "frac_positive": float((cache.y_hat >= 0.5).mean()),
-                "sampler": {k: v - drawn[k] for k, v in sampler.counts.items()},
-                "pairs": stats["pairs"],
-                "skipped_edges": stats["skipped_edges"],
-                "phase_ms": {"forward": (t_forward - t0) * 1e3,
-                             "objective": (t_objective - t_forward) * 1e3,
-                             "pu_loss": stats["pu_loss_ms"],
-                             "sampler": stats["sampler_ms"],
-                             "regularizer": stats["regularizer_ms"],
-                             "backward": (t_adam - t_backward) * 1e3,
-                             "adam": (t_end - t_adam) * 1e3},
-                "wall_time_ms": (time.perf_counter() - t0) * 1e3,
-            })
+        records.append({
+            "epoch": epoch,
+            "total": value.total,
+            "parts": {k: float(p) for k, p in value.parts.items()},
+            "grad_norm": gnorm,
+            "frac_clipped": float(clipped.mean()),
+            "frac_positive": float((cache.y_hat >= 0.5).mean()),
+            "sampler": {k: v - drawn[k] for k, v in sampler.counts.items()},
+            "pairs": stats["pairs"],
+            "skipped_edges": stats["skipped_edges"],
+            "phase_ms": {"forward": (t_forward - t0) * 1e3,
+                         "objective": (t_objective - t_forward) * 1e3,
+                         "pu_loss": stats["pu_loss_ms"],
+                         "sampler": stats["sampler_ms"],
+                         "regularizer": stats["regularizer_ms"],
+                         "backward": (t_adam - t_backward) * 1e3,
+                         "adam": (t_end - t_adam) * 1e3},
+            "wall_time_ms": (time.perf_counter() - t0) * 1e3,
+        })
     return params, records

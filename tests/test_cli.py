@@ -1,16 +1,21 @@
 import csv
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
 from pugraph import evaluate
-from pugraph.cli import main
-from pugraph.evaluate import MAIN_METHODS
+from pugraph.cli import _train_config, main
+from pugraph.data import build_dataset, prepare_dataset
+from pugraph.evaluate import MAIN_METHODS, resolve_loss
+from pugraph.graph import partition_unlabeled
 from pugraph.nn import load_checkpoint
 
 from conftest import small_manifest
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def write_config(tmp_path, **sections):
@@ -119,12 +124,31 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("override", [
         "loss.delta=abc", "label_ratio=abc", "loss=null", "train=null", "loss.bogus=1",
-        "train.epochs=abc"])
+        "train.epochs=abc", "dataset.n_pos=abc", "dataset.train_fraction=abc",
+        "dataset.split_seed=abc"])
     def test_a_bad_config_value_exits_1(self, tmp_path, capsys, override):
         code = main(["train", "--config", str(write_config(tmp_path)),
                      "--override", override, "--out", str(tmp_path / "run")])
         assert code == 1
+        err = capsys.readouterr().err
+        assert "pugraph-error kind=config exit=1" in err
+        assert override.split("=")[0].split(".")[-1] in err  # names the field
+
+    def test_a_config_file_that_is_no_object_exits_1(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[1]")
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == 1
         assert "pugraph-error kind=config exit=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_every_committed_config_resolves(name):
+    # a key that TrainConfig or LossConfig no longer has fails here
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        config = json.load(fh)
+    assert _train_config(config).epochs >= 1
+    assert resolve_loss(config["loss"], prepare_dataset(small_manifest())).kind == "distance_aware"
 
 
 class TestSweepCommand:
@@ -235,7 +259,12 @@ class TestPartitionCommand:
         code = main(["partition", "--config", str(write_config(tmp_path))])
         assert code == 0
         table = capsys.readouterr().out.split("delta  |near V_U|  |far V_U|\n")[1]
-        assert [int(line.split()[0]) for line in table.splitlines()] == list(range(1, 7))
+        ds = build_dataset(small_manifest(), 0.02, 0, 2)
+        want = []
+        for delta in range(1, 7):
+            part = partition_unlabeled(ds.graph, ds.partition.labeled, delta)
+            want.append([delta, part.near_unlabeled.size, part.far_unlabeled.size])
+        assert [[int(x) for x in line.split()] for line in table.splitlines()] == want
 
     def test_missing_jsonl_file_exits_2(self, tmp_path, capsys):
         manifest = {"name": "missing", "format": "jsonl",

@@ -3,11 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from pugraph.data import (BinaryMapping, binarize_labels, build_dataset,
-                          class_vocabulary, load_content_cites, load_jsonl,
-                          make_pu_split, make_sbm_dataset,
+from pugraph.data import (build_dataset, load_content_cites, load_jsonl,
+                          load_source, make_pu_split, make_sbm_dataset,
                           make_train_test_split, normalize_features,
-                          save_jsonl)
+                          prepare_dataset, save_jsonl)
 from pugraph.errors import InputError, ParseError
 from pugraph.graph import generate_sbm
 
@@ -150,33 +149,50 @@ class TestJsonl:
             load_jsonl(path)
 
 
+def reference_binary_labels(labels, positive_classes):
+    """The class vocabulary and class-id mapping that prepare_dataset's
+    name test replaced, kept as the oracle."""
+    vocab = {name: i for i, name in enumerate(sorted(set(labels)))}
+    positive = np.zeros(len(vocab), dtype=np.int64)
+    positive[[vocab[str(c)] for c in positive_classes]] = 1
+    return positive[np.array([vocab[name] for name in labels], dtype=np.int64)]
+
+
+def prepare_labeled(tmp_path, labels, positive_classes):
+    """prepare_dataset on edgeless content/cites files with these class names."""
+    content, cites = tmp_path / "l.content", tmp_path / "l.cites"
+    content.write_text("".join(f"n{i}\t1\t{name}\n" for i, name in enumerate(labels)))
+    cites.write_text("")
+    return prepare_dataset({"format": "content_cites", "content": str(content),
+                            "cites": str(cites), "positive_classes": positive_classes})
+
+
 class TestBinarize:
-    def test_subset_membership(self):
-        mapping = BinaryMapping(frozenset({0, 2}), 4)
-        labels = np.array([0, 1, 2, 3, 2])
-        assert binarize_labels(labels, mapping).tolist() == [1, 0, 1, 0, 1]
+    def test_subset_membership(self, tmp_path):
+        labels = ["a", "b", "c", "d", "c"]
+        binary = prepare_labeled(tmp_path, labels, ["a", "c"]).true_label
+        assert binary.tolist() == [1, 0, 1, 0, 1]
+        assert np.array_equal(binary, reference_binary_labels(labels, ["a", "c"]))
 
-    def test_all_in_positive_subset(self):
-        mapping = BinaryMapping(frozenset({0, 1, 2}), 4)
-        assert binarize_labels(np.array([0, 1, 2]), mapping).tolist() == [1, 1, 1]
-
-    def test_partition_counts(self):
+    def test_partition_counts(self, tmp_path):
+        # seven classes, two positive, as in Cora
         rng = np.random.default_rng(0)
-        labels = rng.integers(0, 5, size=200)
-        mapping = BinaryMapping(frozenset({1, 3}), 5)
-        binary = binarize_labels(labels, mapping)
-        assert binary.sum() + (binary == 0).sum() == 200
+        labels = [f"class{c}" for c in rng.integers(0, 7, size=200)]
+        binary = prepare_labeled(tmp_path, labels, ["class1", "class3"]).true_label
+        assert binary.dtype == np.int64
+        assert 0 < binary.sum() < 200
+        assert np.array_equal(binary, reference_binary_labels(labels, ["class1", "class3"]))
 
-    def test_unseen_class_rejected(self):
-        mapping = BinaryMapping(frozenset({0}), 2)
-        with pytest.raises(InputError):
-            binarize_labels(np.array([0, 5]), mapping)
+    def test_sbm_labels_match_the_class_id_mapping(self):
+        labels = load_source(SBM_MANIFEST)[2]
+        assert np.array_equal(prepare_dataset(SBM_MANIFEST).true_label,
+                              reference_binary_labels(labels, ["pos"]))
 
-    def test_mapping_invariants(self):
-        with pytest.raises(InputError):
-            BinaryMapping(frozenset(), 3)
-        with pytest.raises(InputError):
-            BinaryMapping(frozenset({0, 1, 2}), 3)
+    def test_mapping_invariants(self, tmp_path):
+        with pytest.raises(InputError, match="must list positive_classes"):
+            prepare_labeled(tmp_path, ["a", "b"], [])
+        with pytest.raises(InputError, match="strict subset"):
+            prepare_labeled(tmp_path, ["a", "b", "a"], ["a", "b"])
 
 
 class TestPuSplit:
@@ -311,10 +327,8 @@ class TestCoraCounts:
     def test_table_counts(self, cora):
         graph, features, labels = load_content_cites(cora["content"], cora["cites"])
         assert graph.num_nodes == 2708
-        vocab = class_vocabulary(labels)
-        mapping = BinaryMapping(
-            frozenset(vocab[c] for c in cora["positive_classes"]), len(vocab))
-        binary = binarize_labels(np.array([vocab[x] for x in labels]), mapping)
+        binary = prepare_dataset(cora).true_label
+        assert np.array_equal(binary, reference_binary_labels(labels, cora["positive_classes"]))
         assert int(binary.sum()) == 1244
         assert int((binary == 0).sum()) == 1464
         ds = build_dataset(cora, 0.01, 0, 3)
