@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .data import (PreparedDataset, PUDataset, build_dataset, make_pu_split,
                    prepare_dataset)
-from .evaluate import macro_f1, run_ablation, run_grid, run_sensitivity, score
+from .evaluate import macro_f1, run_grid, run_sweep, score
 from .graph import (DistancePartition, Graph, NormalizedAdjacency, build_graph,
                     generate_sbm, multi_source_bfs, normalize_adjacency,
                     partition_unlabeled)
@@ -24,7 +24,7 @@ from .train import Adam, NegativeSampler, TrainConfig, train
 __all__ = [
     "__version__",
     "PreparedDataset", "PUDataset", "build_dataset", "make_pu_split", "prepare_dataset",
-    "macro_f1", "run_ablation", "run_grid", "run_sensitivity", "score",
+    "macro_f1", "run_grid", "run_sweep", "score",
     "DistancePartition", "Graph", "NormalizedAdjacency", "build_graph",
     "generate_sbm", "multi_source_bfs", "normalize_adjacency",
     "partition_unlabeled",

@@ -31,9 +31,8 @@ from . import __version__
 from .data import build_dataset, make_sbm_dataset, prepare_dataset, save_jsonl
 from .errors import (EXIT_CODES, ConfigError, InputError, TrainingAbort,
                      error_kind)
-from .evaluate import (DEFAULT_RATIOS, MAIN_METHODS, aggregate,
-                       check_field_types, resolve_loss, run_ablation, run_grid,
-                       run_sensitivity, score, write_results_csv)
+from .evaluate import (SWEEPS, aggregate, resolve_loss, run_sweep, score,
+                       write_results_csv)
 from .nn import load_checkpoint, save_checkpoint
 from .published import external_rows
 from .train import TrainConfig, train
@@ -118,12 +117,9 @@ def _train_config(config: dict, seed: int | None = None) -> TrainConfig:
     if seed is not None:
         section["seed"] = seed
     try:
-        cfg = TrainConfig(**section)
+        return TrainConfig(**section)
     except TypeError as exc:
         raise ConfigError(f"bad 'train' section: {exc}") from None
-    check_field_types(cfg, "train")
-    cfg.validate()
-    return cfg
 
 
 def _setup_run(config: dict, args):
@@ -207,20 +203,9 @@ def cmd_sweep(args) -> int:
     manifest = _resolve_manifest(config, args.config)
     out_dir = args.out or f"sweep_{args.kind}"
     _write_run_manifest(out_dir, args.config, config)
-    seeds = range(args.seeds)
-    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_RATIOS
-    base = _train_config(config)  # each cell resolves its own loss
-    loss = _section(config, "loss")
-    if args.kind == "main":
-        results = run_grid(manifest, MAIN_METHODS, ratios, seeds, base, loss, jobs=args.jobs)
-    elif args.kind == "ablation":
-        results = run_ablation(manifest, ratios, seeds, base, loss, jobs=args.jobs)
-    elif args.kind == "prior":
-        results = run_sensitivity(manifest, args.ratio, seeds, base, loss, jobs=args.jobs,
-                                  deltas=())["prior"]
-    else:  # delta; argparse admits no other kind
-        results = run_sensitivity(manifest, args.ratio, seeds, base, loss, jobs=args.jobs,
-                                  pi_hats=())["delta"]
+    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else None
+    results = run_sweep(manifest, args.kind, ratios, range(args.seeds), _train_config(config),
+                        _section(config, "loss"), jobs=args.jobs)
     extra = external_rows(manifest.get("name", "")) if args.kind == "main" else []
     write_results_csv(os.path.join(out_dir, "runs.csv"), results)
     _write_json(os.path.join(out_dir, "aggregate.json"),
@@ -302,31 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Positive-unlabeled node classification engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="run config JSON document")
+    def common(p, seed=True):
+        p.add_argument("--config", required=True, help="run config JSON document")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="patch the config with a dotted path, repeatable")
-        p.add_argument("--seed", type=int, default=None,
-                       help="run seed (overrides train.seed)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="run seed (overrides train.seed)")
 
     p_train = sub.add_parser("train", help="train one model and score it")
     common(p_train)
     p_train.add_argument("--out", default=None, help="output directory")
     p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep", help="run an experiment grid")
-    p_sweep.add_argument("kind", choices=["main", "ablation", "prior", "delta"],
-                         help="which sweep to run")
-    common(p_sweep)
+    p_sweep = sub.add_parser("sweep", help="run an experiment grid", allow_abbrev=False)
+    p_sweep.add_argument("kind", choices=list(SWEEPS), help="which sweep to run")
+    common(p_sweep, seed=False)  # a sweep runs seeds 0..N-1
     p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.add_argument("--seeds", type=int, default=5,
                          help="number of seeds (0..N-1) per cell")
     p_sweep.add_argument("--ratios", default=None,
-                         help="comma-separated label ratios (main/ablation)")
-    p_sweep.add_argument("--ratio", type=float, default=0.002,
-                         help="label ratio for prior/delta sweeps")
+                         help="comma-separated label ratios (default: the kind's own)")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes for grid cells")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -289,8 +289,8 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     uses the manifest's own `split_seed` so every run shares it."""
     graph, features, labels = load_source(manifest)
     positive_names = manifest.get("positive_classes")
-    if not positive_names:
-        raise InputError("dataset manifest must list positive_classes")
+    if not isinstance(positive_names, list) or not positive_names:
+        raise ConfigError(f"dataset manifest must list positive_classes, got {positive_names!r}")
     classes, positive = set(labels), {str(c) for c in positive_names}
     unknown = [c for c in positive_names if str(c) not in classes]
     if unknown:

@@ -16,8 +16,7 @@ method's pins (METHOD_LOSS), then its own knobs, then the grid's loss_overrides.
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +39,20 @@ METHOD_LOSS = {
     # ablation variants
     "pugnn_noreg": {"kind": "distance_aware", "alpha": 0.0},
     "naive_reg": {"kind": "naive"},
+}
+
+# Each sweep kind's cells, (method, loss knobs, cell extra), and default label
+# ratios. The ablation's regularizer-only variant falls back to the naive loss
+# for supervision; prior keeps pi_hat > pi_breve.
+SWEEPS = {
+    "main": ([(m, {}, None) for m in MAIN_METHODS], DEFAULT_RATIOS),
+    "ablation": ([(m, {}, {"variant": v}) for m, v in (
+        ("pugnn", "full"), ("naive_reg", "struct_reg_only"),
+        ("pugnn_noreg", "pu_loss_only"), ("naive", "gcn"))], DEFAULT_RATIOS),
+    "prior": ([("pugnn", p, p) for p in (
+        {"pi_hat": ph, "pi_breve": pb} for ph in (0.5, 0.6, 0.7, 0.8, 0.9)
+        for pb in (0.1, 0.2, 0.3, 0.4) if ph > pb)], (0.002,)),
+    "delta": ([("pugnn", {"delta": d}, {"delta": d}) for d in range(1, 6)], (0.002,)),
 }
 
 
@@ -109,15 +122,6 @@ def macro_f1(y_hat: np.ndarray, true_label: np.ndarray,
     return MetricSummary((f1_pos + f1_neg) / 2.0, f1_pos, f1_neg, c)
 
 
-def check_field_types(cfg, section: str):
-    """ConfigError unless each field of the dataclass `cfg` holds a value of
-    its declared type; an int counts as a float, a bool as no number."""
-    for f in fields(cfg):
-        value, kind = getattr(cfg, f.name), {int: Integral, float: Real}.get(f.type, f.type)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{section}.{f.name} must be {f.type.__name__}, got {value!r}")
-
-
 def resolve_loss(settings: dict, prepared: PreparedDataset) -> LossConfig:
     """The LossConfig of a loss section (absent keys take the defaults).
 
@@ -129,12 +133,9 @@ def resolve_loss(settings: dict, prepared: PreparedDataset) -> LossConfig:
     if section.get("pi_p") in (None, "auto"):
         section["pi_p"] = prepared.positive_prior
     try:
-        cfg = LossConfig(**section)
+        return LossConfig(**section)
     except TypeError as exc:
         raise ConfigError(f"bad 'loss' section: {exc}") from None
-    check_field_types(cfg, "loss")
-    cfg.validate()
-    return cfg
 
 
 def score(dataset, params) -> MetricSummary:
@@ -196,9 +197,14 @@ def _run_worker_cell(spec) -> ExperimentResult:
     return _run_cell(_worker_prepared, spec)
 
 
-def _run_jobs(manifest: dict, jobs_spec: list, jobs: int) -> list[ExperimentResult]:
-    """Prepare the manifest once and run every cell on it; each pool worker
-    gets the PreparedDataset once, through its initializer."""
+def _run_jobs(manifest: dict, cells, ratios, seeds, train_config: TrainConfig | None,
+              loss_overrides: dict | None, jobs: int) -> list[ExperimentResult]:
+    """Run every (cell, ratio, seed), in that order, on the manifest prepared
+    once (a pool worker gets it once, through its initializer). A cell is
+    (method, loss knobs, cell extra); its knobs win over `loss_overrides`."""
+    base = loss_overrides or {}
+    jobs_spec = [(method, r, s, train_config, {**base, **knobs}, extra)
+                 for method, knobs, extra in cells for r in ratios for s in seeds]
     try:
         prepared = prepare_dataset(manifest)
     except Exception as exc:  # as a cell failure would be
@@ -215,47 +221,18 @@ def run_grid(manifest: dict, methods=MAIN_METHODS, ratios=DEFAULT_RATIOS,
              loss_overrides: dict | None = None, jobs: int = 1,
              ) -> list[ExperimentResult]:
     """One result per (method, ratio, seed); failures recorded in-place."""
-    spec = [(m, r, s, train_config, loss_overrides, None)
-            for m in methods for r in ratios for s in seeds]
-    return _run_jobs(manifest, spec, jobs)
+    return _run_jobs(manifest, [(m, {}, None) for m in methods], ratios, seeds,
+                     train_config, loss_overrides, jobs)
 
 
-def run_ablation(manifest: dict, ratios=DEFAULT_RATIOS, seeds=range(5),
-                 train_config: TrainConfig | None = None,
-                 loss_overrides: dict | None = None, jobs: int = 1,
-                 ) -> list[ExperimentResult]:
-    """Component ablation: full model, regularizer-only, PU-loss-only, plain GCN.
-
-    The regularizer-only variant keeps training supervision by falling back
-    to the naive all-unlabeled-negative loss.
-    """
-    variants = {
-        "pugnn": "full",
-        "naive_reg": "struct_reg_only",
-        "pugnn_noreg": "pu_loss_only",
-        "naive": "gcn",
-    }
-    spec = [(m, r, s, train_config, loss_overrides, {"variant": label})
-            for m, label in variants.items() for r in ratios for s in seeds]
-    return _run_jobs(manifest, spec, jobs)
-
-
-def run_sensitivity(manifest: dict, ratio: float = 0.002, seeds=range(5),
-                    train_config: TrainConfig | None = None,
-                    loss_overrides: dict | None = None, jobs: int = 1,
-                    pi_hats=(0.5, 0.6, 0.7, 0.8, 0.9),
-                    pi_breves=(0.1, 0.2, 0.3, 0.4),
-                    deltas=(1, 2, 3, 4, 5),
-                    ) -> dict[str, list[ExperimentResult]]:
-    """Prior grid (pi_hat > pi_breve only) and delta sweep for the full model."""
-    base = loss_overrides or {}
-    priors = [{"pi_hat": ph, "pi_breve": pb} for ph in pi_hats for pb in pi_breves if ph > pb]
-    prior_spec = [("pugnn", ratio, s, train_config, {**base, **knobs}, knobs)
-                  for knobs in priors for s in seeds]
-    delta_spec = [("pugnn", ratio, s, train_config, {**base, "delta": d}, {"delta": d})
-                  for d in deltas for s in seeds]
-    results = _run_jobs(manifest, prior_spec + delta_spec, jobs)
-    return {"prior": results[:len(prior_spec)], "delta": results[len(prior_spec):]}
+def run_sweep(manifest: dict, kind: str, ratios=None, seeds=range(5),
+              train_config: TrainConfig | None = None,
+              loss_overrides: dict | None = None, jobs: int = 1,
+              ) -> list[ExperimentResult]:
+    """One result per (cell, ratio, seed) of a SWEEPS kind; ratios default to the kind's."""
+    cells, default_ratios = SWEEPS[kind]
+    return _run_jobs(manifest, cells, ratios or default_ratios, seeds,
+                     train_config, loss_overrides, jobs)
 
 
 def aggregate(results: list[ExperimentResult]) -> list[dict]:

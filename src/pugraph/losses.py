@@ -21,7 +21,8 @@ so the bits are too.
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,12 +35,22 @@ log = logging.getLogger(__name__)
 LOSS_KINDS = ("naive", "nnpu", "distpu", "distance_aware")
 
 
-@dataclass
+def check_types(cfg, section: str):
+    """ConfigError unless each field of the dataclass `cfg` holds a value of
+    its declared type; an int counts as a float, a bool as no number."""
+    for f in fields(cfg):
+        value, kind = getattr(cfg, f.name), {int: Integral, float: Real}.get(f.type, f.type)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{section}.{f.name} must be {f.type.__name__}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class LossConfig:
     """Loss selector plus the priors and regularizer knobs.
 
     pi_p is the overall positive prior (nnpu / distpu); pi_hat and pi_breve
-    are the priors assumed for the near / far unlabeled subsets.
+    are the priors assumed for the near / far unlabeled subsets. Checked when
+    built (ConfigError, also for NaN and +-inf); immutable after.
     """
 
     kind: str = "distance_aware"
@@ -50,7 +61,8 @@ class LossConfig:
     alpha: float = 0.01
     k: int = 50
 
-    def validate(self):
+    def __post_init__(self):
+        check_types(self, "loss")
         if self.kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         for name in ("pi_p", "pi_hat", "pi_breve"):
@@ -63,8 +75,8 @@ class LossConfig:
             )
         if self.delta < 1:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
-        if self.alpha < 0.0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.alpha > 0.0 and self.k < 1:
             raise ConfigError(f"k must be >= 1 when alpha > 0, got {self.k}")
 
@@ -323,7 +335,6 @@ def combined_objective(y_hat: np.ndarray, z: np.ndarray,
     alpha = 0.
     """
     t0 = time.perf_counter()
-    config.validate()
     y = np.asarray(y_hat, dtype=np.float64)
     n = y.shape[0]
     labeled_mask = np.zeros(n, dtype=bool)

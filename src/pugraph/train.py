@@ -13,14 +13,14 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, TrainingAbort
 from .graph import Graph, NormalizedAdjacency, normalize_adjacency
-from .losses import LossConfig, combined_objective
+from .losses import LossConfig, check_types, combined_objective
 from .nn import (WEIGHT_NAMES, Y_EPS, ParamStore, forward_from_propagated,
                  gcn_backward, init_params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.
+    """Hyperparameters of one training run; checked when built, as LossConfig is.
 
     A run that diverges aborts with TrainingAbort. Divergence is a forward
     pass that puts every score on the Y_EPS clip (each one at Y_EPS or
@@ -35,14 +35,14 @@ class TrainConfig:
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
 
-    def validate(self):
+    def __post_init__(self):
+        check_types(self, "train")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        self.loss.validate()
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 _SLOTS_PER_EDGE = 32  # sampler: membership-table slots per directed edge
@@ -204,7 +204,6 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     The abort carries the parameters of the last epoch whose forward pass and
     loss passed these checks, and the records logged before it.
     """
-    config.validate()
     if dataset.partition.delta != config.loss.delta:
         raise ConfigError(
             f"dataset partition was built with delta={dataset.partition.delta}, "

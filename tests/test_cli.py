@@ -125,7 +125,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("override", [
         "loss.delta=abc", "label_ratio=abc", "loss=null", "train=null", "loss.bogus=1",
         "train.epochs=abc", "dataset.n_pos=abc", "dataset.train_fraction=abc",
-        "dataset.split_seed=abc"])
+        "dataset.split_seed=abc", "dataset.positive_classes=5",
+        'dataset.positive_classes="pos"', "loss.alpha=NaN", "loss.alpha=Infinity",
+        "train.learning_rate=NaN", "train.weight_decay=NaN"])
     def test_a_bad_config_value_exits_1(self, tmp_path, capsys, override):
         code = main(["train", "--config", str(write_config(tmp_path)),
                      "--override", override, "--out", str(tmp_path / "run")])
@@ -235,16 +237,37 @@ class TestSweepLossSection:
 
     def test_prior_sweep_takes_the_alpha_override(self, tmp_path, monkeypatch):
         losses = spy_losses(monkeypatch)
-        self.sweep(tmp_path, "prior", "--ratio", "0.02", "--override", "loss.alpha=0")
+        self.sweep(tmp_path, "prior", "--ratios", "0.02", "--override", "loss.alpha=0")
         assert len(losses) == 20
         assert all(loss.alpha == 0 and loss.delta == 2 for loss in losses)
         assert len({(loss.pi_hat, loss.pi_breve) for loss in losses}) == 20
 
     def test_delta_sweep_keeps_the_config_priors(self, tmp_path, monkeypatch):
         losses = spy_losses(monkeypatch)
-        self.sweep(tmp_path, "delta", "--ratio", "0.02", pi_hat=0.7, pi_breve=0.2)
+        self.sweep(tmp_path, "delta", "--ratios", "0.02", pi_hat=0.7, pi_breve=0.2)
         assert [loss.delta for loss in losses] == [1, 2, 3, 4, 5]
         assert all((loss.pi_hat, loss.pi_breve) == (0.7, 0.2) for loss in losses)
+
+    def test_prior_sweep_trains_at_the_given_ratio(self, tmp_path, monkeypatch):
+        ratios, original = [], evaluate.build_dataset
+
+        def wrapper(prepared, label_ratio, seed, delta):
+            ratios.append(label_ratio)
+            return original(prepared, label_ratio, seed, delta)
+
+        monkeypatch.setattr(evaluate, "build_dataset", wrapper)
+        self.sweep(tmp_path, "prior", "--ratios", "0.02")
+        assert ratios == [0.02] * 20
+        with open(tmp_path / "prior" / "runs.csv", newline="", encoding="utf-8") as fh:
+            assert {row["ratio"] for row in csv.DictReader(fh)} == {"0.02"}
+
+    @pytest.mark.parametrize("flag", ["--seed", "--ratio"])
+    def test_a_removed_flag_is_a_usage_error(self, tmp_path, flag):
+        # no abbreviation: --seed is not read as --seeds, nor --ratio as --ratios
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "main", "--config", str(write_config(tmp_path)), "--out",
+                  str(tmp_path / "sweep"), "--seeds", "1", "--ratios", "0.02", flag, "1"])
+        assert exc.value.code == 2
 
     def test_main_sweep_lets_the_method_pins_win(self, tmp_path, monkeypatch):
         losses = spy_losses(monkeypatch)

@@ -7,7 +7,7 @@ from pugraph.data import (build_dataset, load_content_cites, load_jsonl,
                           load_source, make_pu_split, make_sbm_dataset,
                           make_train_test_split, normalize_features,
                           prepare_dataset, save_jsonl)
-from pugraph.errors import InputError, ParseError
+from pugraph.errors import ConfigError, InputError, ParseError
 from pugraph.graph import generate_sbm
 
 from conftest import SBM_MANIFEST, traced_peak
@@ -189,7 +189,7 @@ class TestBinarize:
                               reference_binary_labels(labels, ["pos"]))
 
     def test_mapping_invariants(self, tmp_path):
-        with pytest.raises(InputError, match="must list positive_classes"):
+        with pytest.raises(ConfigError, match="must list positive_classes"):
             prepare_labeled(tmp_path, ["a", "b"], [])
         with pytest.raises(InputError, match="strict subset"):
             prepare_labeled(tmp_path, ["a", "b", "a"], ["a", "b"])

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from pugraph.data import build_dataset, prepare_dataset
-from pugraph.evaluate import (macro_f1, run_ablation, run_grid,
-                              run_sensitivity, score)
+from pugraph.evaluate import SWEEPS, macro_f1, run_grid, run_sweep, score
 from pugraph.graph import normalize_adjacency
 from pugraph.nn import gcn_forward
 from pugraph.train import TrainConfig, train
@@ -80,16 +79,13 @@ class TestGrids:
         assert all(r.error is None for r in one)
         assert outcome(two) == outcome(one)
 
-    @pytest.mark.parametrize("sweep", [
-        lambda m: run_grid(m, ("naive", "nnpu"), (0.02,), range(2), FAST),
-        lambda m: run_ablation(m, (0.02,), range(1), FAST),
-        lambda m: run_sensitivity(m, 0.02, range(1), FAST, pi_hats=(0.6,),
-                                  pi_breves=(0.3,), deltas=(1, 2)),
-    ], ids=["grid", "ablation", "sensitivity"])
-    def test_each_sweep_loads_its_source_once(self, monkeypatch, sweep):
+    @pytest.mark.parametrize("kind", ["grid", *SWEEPS])
+    def test_each_sweep_loads_its_source_once(self, monkeypatch, kind):
         calls = counting(monkeypatch, "data", "load_source")
-        out = sweep(small_manifest())
-        results = out if isinstance(out, list) else out["prior"] + out["delta"]
+        if kind == "grid":
+            results = run_grid(small_manifest(), ("naive", "nnpu"), (0.02,), range(2), FAST)
+        else:
+            results = run_sweep(small_manifest(), kind, (0.02,), range(1), FAST)
         assert len(results) > 1
         assert all(r.error is None for r in results)
         assert len(calls) == 1

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -385,7 +386,7 @@ class TestTrain:
             assert sum(parts) <= phases["objective"]
             assert rec["pairs"] == src.size + 5 * ok.sum()
             assert rec["skipped_edges"] == (~ok).sum()
-        cfg.loss.alpha = 0.0
+        cfg = replace(cfg, loss=replace(cfg.loss, alpha=0.0))
         _, log = train(ds, cfg)
         assert all(rec["sampler"] == {"draws": 0, "redraw_rounds": 0, "exact_checks": 0}
                    for rec in log)
@@ -415,3 +416,18 @@ class TestTrain:
             train(ds, TrainConfig(epochs=0))
         with pytest.raises(ConfigError):
             train(ds, TrainConfig(learning_rate=-1.0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cls, name", [
+        (LossConfig, "pi_p"), (LossConfig, "pi_hat"), (LossConfig, "pi_breve"),
+        (LossConfig, "alpha"), (TrainConfig, "learning_rate"), (TrainConfig, "weight_decay")])
+    def test_a_non_finite_value_is_a_config_error(self, cls, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cls(**{name: value})
+
+    def test_a_built_config_cannot_change(self):
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.epochs = 2
+        with pytest.raises(FrozenInstanceError):
+            cfg.loss.alpha = 0.0
