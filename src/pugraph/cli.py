@@ -1,4 +1,4 @@
-"""Command-line entry point: train, sweep, partition, gen-synth, eval.
+"""Command-line entry point: train, sweep, partition, eval.
 
 A run is described by one JSON config document::
 
@@ -9,12 +9,15 @@ A run is described by one JSON config document::
       "train": { "epochs": 400, "learning_rate": 0.01, ... }
     }
 
+A manifest's ``format`` is ``content_cites``, ``jsonl`` or ``sbm`` (an SBM
+generated in memory from the manifest's parameters).
 ``--override key=value`` patches the document with dotted paths
 (e.g. ``--override loss.alpha=0``); values are parsed as JSON when possible.
 A loss key takes a sweep method's pin, else a sweep cell's knob, else the
 ``loss`` section, else the LossConfig default; ``"pi_p": "auto"`` (or none)
 is the true positive rate, an oracle read from the true labels.
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric abort.
+Exit codes: 0 success, 1 configuration error, 2 data error (or a command
+line argparse rejects), 3 numeric abort.
 """
 
 import argparse
@@ -28,9 +31,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .data import build_dataset, make_sbm_dataset, prepare_dataset, save_jsonl
-from .errors import (EXIT_CODES, ConfigError, InputError, TrainingAbort,
-                     error_kind)
+from .data import build_dataset, prepare_dataset
+from .errors import EXIT_CODES, ConfigError, TrainingAbort, error_kind
 from .evaluate import (SWEEPS, aggregate, resolve_loss, run_sweep, score,
                        write_results_csv)
 from .nn import load_checkpoint, save_checkpoint
@@ -203,8 +205,7 @@ def cmd_sweep(args) -> int:
     manifest = _resolve_manifest(config, args.config)
     out_dir = args.out or f"sweep_{args.kind}"
     _write_run_manifest(out_dir, args.config, config)
-    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else None
-    results = run_sweep(manifest, args.kind, ratios, range(args.seeds), _train_config(config),
+    results = run_sweep(manifest, args.kind, args.ratios, range(args.seeds), _train_config(config),
                         _section(config, "loss"), jobs=args.jobs)
     extra = external_rows(manifest.get("name", "")) if args.kind == "main" else []
     write_results_csv(os.path.join(out_dir, "runs.csv"), results)
@@ -245,28 +246,6 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def cmd_gen_synth(args) -> int:
-    try:
-        graph, features, labels = make_sbm_dataset(
-            args.n_pos, args.n_neg, args.p_intra, args.p_inter, args.seed,
-            feature_dim=args.feature_dim)
-    except InputError as exc:
-        raise ConfigError(str(exc))  # invalid generator parameters -> exit 1
-    save_jsonl(args.out, graph, features, labels)
-    manifest = {
-        "name": f"sbm_{args.n_pos}p_{args.n_neg}n_seed{args.seed}",
-        "format": "jsonl",
-        "path": os.path.abspath(args.out),
-        "positive_classes": ["pos"],
-        "normalize_features": True,
-        "train_fraction": 0.1,
-        "split_seed": 0,
-    }
-    _write_json(args.out + ".manifest.json", manifest)
-    print(f"wrote {args.out} ({graph.num_nodes} nodes, {graph.num_edges} edges)")
-    return 0
-
-
 def cmd_eval(args) -> int:
     manifest, _, _, dataset = _setup_run(_load_config(args.config, args.override), args)
     metrics = score(dataset, load_checkpoint(args.checkpoint))
@@ -279,6 +258,14 @@ def cmd_eval(args) -> int:
         _write_json(args.out, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
+
+
+def _ratios(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(r) for r in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.add_argument("--seeds", type=int, default=5,
                          help="number of seeds (0..N-1) per cell")
-    p_sweep.add_argument("--ratios", default=None,
+    p_sweep.add_argument("--ratios", type=_ratios, default=None,
                          help="comma-separated label ratios (default: the kind's own)")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes for grid cells")
@@ -319,20 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--delta", type=int, default=None,
                         help="single delta to report (default: 1..6)")
     p_part.set_defaults(func=cmd_partition)
-
-    p_gen = sub.add_parser("gen-synth",
-                           help="generate a synthetic SBM dataset as JSON lines")
-    p_gen.add_argument("--out", required=True, help="output .jsonl path")
-    p_gen.add_argument("--n-pos", type=int, default=200, help="positive-block size")
-    p_gen.add_argument("--n-neg", type=int, default=200, help="negative-block size")
-    p_gen.add_argument("--p-intra", type=float, default=0.05,
-                       help="within-block edge probability")
-    p_gen.add_argument("--p-inter", type=float, default=0.005,
-                       help="between-block edge probability")
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
-    p_gen.add_argument("--feature-dim", type=int, default=8,
-                       help="planted binary feature dimension")
-    p_gen.set_defaults(func=cmd_gen_synth)
 
     p_eval = sub.add_parser("eval", help="re-score a saved checkpoint")
     common(p_eval)

@@ -168,19 +168,6 @@ def load_jsonl(path):
     return graph, np.asarray(rows, dtype=np.float64), labels
 
 
-def save_jsonl(path, graph: Graph, features: np.ndarray, labels):
-    """Write the JSON-lines format; inverse of load_jsonl for valid inputs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(graph.num_nodes):
-            obj = {
-                "id": str(i),
-                "features": [float(x) for x in features[i]],
-                "label": str(labels[i]),
-                "neighbors": [str(j) for j in graph.neighbors(i)],
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
 def normalize_features(features: np.ndarray) -> np.ndarray:
     """Scale each row to unit L1 norm; zero rows stay zero."""
     features = np.asarray(features, dtype=np.float64)
@@ -225,21 +212,23 @@ def make_pu_split(binary_labels: np.ndarray, train_mask: np.ndarray,
     return mask
 
 
+_SIGNAL, _BACKGROUND = 0.65, 0.2  # planted feature rates, own block / other block
+
+
 def make_sbm_dataset(n_pos: int, n_neg: int, p_intra: float, p_inter: float,
-                     seed: int, feature_dim: int = 8, signal: float = 0.65,
-                     background: float = 0.2):
+                     seed: int, feature_dim: int = 8):
     """Two-block SBM plus planted binary features; returns (graph, X, labels).
 
     Each node draws `feature_dim` Bernoulli bits: the first half fires at
-    rate `signal` for its own block and `background` for the other block
+    rate _SIGNAL for its own block and _BACKGROUND for the other block
     (mirrored for the second half), so features are informative but noisy.
     """
     graph, binary = generate_sbm(n_pos, n_neg, p_intra, p_inter, seed)
     rng = np.random.default_rng([seed, 1])
     half = feature_dim // 2
-    rates = np.full((graph.num_nodes, feature_dim), background)
-    rates[binary == 1, :half] = signal
-    rates[binary == 0, half:] = signal
+    rates = np.full((graph.num_nodes, feature_dim), _BACKGROUND)
+    rates[binary == 1, :half] = _SIGNAL
+    rates[binary == 0, half:] = _SIGNAL
     features = (rng.random((graph.num_nodes, feature_dim)) < rates).astype(np.float64)
     labels = ["pos" if b else "neg" for b in binary]
     return graph, features, labels

@@ -19,7 +19,6 @@ arithmetic is that of a loop of fresh arrays per chunk, in the same order,
 so the bits are too.
 """
 
-import logging
 import time
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -29,8 +28,6 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .graph import DistancePartition, Graph
 from .nn import sigmoid
-
-log = logging.getLogger(__name__)
 
 LOSS_KINDS = ("naive", "nnpu", "distpu", "distance_aware")
 
@@ -258,15 +255,11 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler, k: int,
 
     src, dst = graph.directed_edges()
     can_sample = sampler.non_neighbor_counts[src] > 0
-    n_skipped = int((~can_sample).sum())
-    if n_skipped:
-        log.warning("structural_regularizer: skipped negative terms for %d directed edges "
-                    "whose source has no non-neighbors", n_skipped)
     t0 = time.perf_counter()
-    negs = sampler.edge_negatives(src[can_sample], dst[can_sample], k)
+    negs = sampler.edge_negatives(src[can_sample], k)
     if stats is not None:
         stats.update(sampler_ms=(time.perf_counter() - t0) * 1e3,
-                     pairs=src.size + negs.size, skipped_edges=n_skipped)
+                     pairs=src.size + negs.size, skipped_edges=src.size - len(negs))
     z_dst = gather(dst)
     diff, coef = _pair_coefs(np.einsum("ed,ed->e", gather(src), z_dst), 1.0)
     value = float(np.vdot(diff, diff))

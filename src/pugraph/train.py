@@ -6,6 +6,7 @@ numpy, and the per-epoch log is reproducible byte-for-byte apart from the
 wall-time fields.
 """
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -16,6 +17,8 @@ from .graph import Graph, NormalizedAdjacency, normalize_adjacency
 from .losses import LossConfig, check_types, combined_objective
 from .nn import (WEIGHT_NAMES, Y_EPS, ParamStore, forward_from_propagated,
                  gcn_backward, init_params)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,8 @@ class NegativeSampler:
             pending = pending[bad]
         return out
 
-    def edge_negatives(self, src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
-        """k draws from the non-neighbors of each src node; dst is unused here
-        but part of the protocol so replay samplers can key on the edge."""
+    def edge_negatives(self, src: np.ndarray, k: int) -> np.ndarray:
+        """k draws from the non-neighbors of each src node, one row per entry."""
         if src.size and (self.non_neighbor_counts[src] == 0).any():
             raise InputError("edge_negatives called with a source that has no non-neighbors")
         return self._draw(np.repeat(src, k)).reshape(src.size, k)
@@ -192,7 +194,8 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     0.5 (`frac_positive`), the sampler's counts for the epoch (`sampler`:
     candidates drawn, redraw rounds, exact neighbor checks), the
     regularizer's pairs scored and skipped edges (`pairs`, `skipped_edges`,
-    0 when alpha = 0), the epoch's wall time and its split (`phase_ms`):
+    0 when alpha = 0; the first epoch's skips are also logged, as one warning
+    per run), the epoch's wall time and its split (`phase_ms`):
     the forward pass, the objective (PU loss and regularizer, sampler
     included) with its parts `pu_loss`, `sampler` and `regularizer` (the
     rest of the regularizer), the backward pass with the gradient norm, and
@@ -264,4 +267,7 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
                          "adam": (t_end - t_adam) * 1e3},
             "wall_time_ms": (time.perf_counter() - t0) * 1e3,
         })
+        if epoch == 1 and stats["skipped_edges"]:
+            log.warning("structural_regularizer skips the negative terms of %d directed "
+                        "edges whose source has no non-neighbors", stats["skipped_edges"])
     return params, records

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import json
 import os
 import tracemalloc
 
@@ -28,6 +29,19 @@ def dense_adjacency(adj: NormalizedAdjacency) -> np.ndarray:
 def pairwise_similarity(z: np.ndarray, i: int, j: int) -> float:
     """sigmoid(z_i . z_j); symmetric in (i, j)."""
     return float(sigmoid(z[i] @ z[j]))
+
+
+def save_jsonl(path, graph: Graph, features: np.ndarray, labels):
+    """Write the JSON-lines format that `pugraph.data.load_jsonl` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(graph.num_nodes):
+            obj = {
+                "id": str(i),
+                "features": [float(x) for x in features[i]],
+                "label": str(labels[i]),
+                "neighbors": [str(j) for j in graph.neighbors(i)],
+            }
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -124,7 +138,7 @@ def reference_regularizer(z, graph: Graph, sampler, k: int) -> tuple[float, np.n
     n, d = z.shape
     src, dst = graph.directed_edges()
     can_sample = sampler.non_neighbor_counts[src] > 0
-    negs = sampler.edge_negatives(src[can_sample], dst[can_sample], k)
+    negs = sampler.edge_negatives(src[can_sample], k)
     z_dst = z[dst]
     value, coef = pair_coefs(np.einsum("ed,ed->e", z[src], z_dst), 1.0)
     to_src = 2.0 * coef[:, None] * z_dst
@@ -153,20 +167,9 @@ class ReplaySampler:
         self.non_neighbor_counts = graph.num_nodes - 1 - graph.degrees
         self._negatives = negatives
 
-    def edge_negatives(self, src, dst, k):
+    def edge_negatives(self, src, k):
         assert self._negatives.shape == (src.size, k)
         return self._negatives
-
-
-class EdgeKeyedSampler:
-    """Replays negatives keyed by the (src, dst) edge, for relabeling tests."""
-
-    def __init__(self, graph: Graph, by_edge: dict):
-        self.non_neighbor_counts = graph.num_nodes - 1 - graph.degrees
-        self._by_edge = by_edge
-
-    def edge_negatives(self, src, dst, k):
-        return np.stack([self._by_edge[(int(i), int(j))] for i, j in zip(src, dst)])
 
 
 def find_dataset_dir(name: str):

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import pugraph
 from pugraph import evaluate
 from pugraph.cli import _train_config, main
 from pugraph.data import build_dataset, prepare_dataset
@@ -269,6 +271,15 @@ class TestSweepLossSection:
                   str(tmp_path / "sweep"), "--seeds", "1", "--ratios", "0.02", flag, "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("ratios", ["abc", "0.02,abc", ""])
+    def test_ratios_that_are_not_numbers_are_a_usage_error(self, tmp_path, ratios):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "prior", "--config", str(write_config(tmp_path)), "--out",
+                  str(out), "--seeds", "1", "--ratios", ratios])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_main_sweep_lets_the_method_pins_win(self, tmp_path, monkeypatch):
         losses = spy_losses(monkeypatch)
         self.sweep(tmp_path, "main", "--ratios", "0.02", alpha=0.02)
@@ -298,21 +309,13 @@ class TestPartitionCommand:
         assert "pugraph-error kind=data" in capsys.readouterr().err
 
 
-class TestGenSynthCommand:
-    def test_writes_a_dataset_that_partition_reads(self, tmp_path, capsys):
-        out = tmp_path / "sbm.jsonl"
-        code = main(["gen-synth", "--out", str(out), "--n-pos", "50", "--n-neg", "50",
-                     "--p-intra", "0.12", "--p-inter", "0.01", "--seed", "7"])
-        assert code == 0
-        manifest = json.loads((tmp_path / "sbm.jsonl.manifest.json").read_text())
-        assert main(["partition", "--config",
-                     str(write_config(tmp_path, dataset=manifest))]) == 0
-        assert "100 nodes" in capsys.readouterr().out
+class TestRemovedRoutes:
+    def test_gen_synth_is_a_usage_error(self, tmp_path):
+        # an SBM comes from a manifest with "format": "sbm"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-synth", "--out", str(tmp_path / "sbm.jsonl")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "sbm.jsonl").exists()
 
-    def test_p_inter_above_p_intra_exits_1(self, tmp_path, capsys):
-        out = tmp_path / "sbm.jsonl"
-        code = main(["gen-synth", "--out", str(out), "--n-pos", "50", "--n-neg", "50",
-                     "--p-intra", "0.01", "--p-inter", "0.12"])
-        assert code == 1
-        assert "pugraph-error kind=config" in capsys.readouterr().err
-        assert not out.exists()
+    def test_the_package_name_train_is_the_module(self):
+        assert importlib.import_module("pugraph.train") is pugraph.train

@@ -6,11 +6,11 @@ import pytest
 from pugraph.data import (build_dataset, load_content_cites, load_jsonl,
                           load_source, make_pu_split, make_sbm_dataset,
                           make_train_test_split, normalize_features,
-                          prepare_dataset, save_jsonl)
+                          prepare_dataset)
 from pugraph.errors import ConfigError, InputError, ParseError
 from pugraph.graph import generate_sbm
 
-from conftest import SBM_MANIFEST, traced_peak
+from conftest import SBM_MANIFEST, save_jsonl, traced_peak
 
 CONTENT_3 = "n1\t1\t0\t1\tml\nn2\t0\t1\t0\ttheory\nn3\t1\t1\t0\tml\n"
 CITES_1 = "n1\tn2\n"

@@ -17,8 +17,7 @@ FAST = TrainConfig(epochs=10)
 
 def counting(monkeypatch, module: str, name: str, delay: float = 0.0):
     """Wrap `name` in the pugraph module `module` so that it records its calls,
-    after sleeping `delay` seconds. The module is imported by name because the
-    package rebinds `pugraph.train` to the function."""
+    after sleeping `delay` seconds."""
     owner = importlib.import_module(f"pugraph.{module}")
     original = getattr(owner, name)
     calls = []

@@ -1,4 +1,3 @@
-import logging
 import tracemalloc
 
 import numpy as np
@@ -13,9 +12,8 @@ from pugraph.losses import (LossConfig, combined_objective,
 from pugraph.nn import gcn_forward, init_params
 from pugraph.train import NegativeSampler
 
-from conftest import (EdgeKeyedSampler, ReplaySampler, assert_grad_close,
-                      numeric_grad_array, random_graph, reference_regularizer,
-                      traced_peak)
+from conftest import (ReplaySampler, assert_grad_close, numeric_grad_array,
+                      random_graph, reference_regularizer, traced_peak)
 
 
 def make_partition(labeled, near, far, delta=3):
@@ -295,22 +293,22 @@ class TestStructuralRegularizer:
             if g.num_edges == 0:
                 continue
             z = rng.normal(size=(8, 16)) * 0.5
-            src, dst = g.directed_edges()
+            src, _ = g.directed_edges()
             real = NegativeSampler(g, 11)
-            negs = real.edge_negatives(src, dst, 3)
+            negs = real.edge_negatives(src, 3)
             sampler = ReplaySampler(g, negs)
             _, grad = structural_regularizer(z, g, sampler, 3)
             numeric = numeric_grad_array(
                 lambda: structural_regularizer(z, g, sampler, 3)[0].total, z)
             assert_grad_close(grad, numeric, label="regularizer")
 
-    def test_complete_graph_skips_negative_terms(self, caplog):
+    def test_complete_graph_skips_negative_terms(self):
         g = build_graph([(0, 1), (0, 2), (1, 2)], 3)
         z = np.zeros((3, 16))
         sampler = NegativeSampler(g, 0)
-        with caplog.at_level(logging.WARNING):
-            value, _ = structural_regularizer(z, g, sampler, 2)
-        assert "skipped" in caplog.text
+        stats: dict = {}
+        value, _ = structural_regularizer(z, g, sampler, 2, stats=stats)
+        assert stats["skipped_edges"] == 6 and stats["pairs"] == 6
         assert value.total == pytest.approx(6 * 0.25, abs=1e-12)  # only (S-1)^2 terms
 
     def test_invariant_under_relabeling(self):
@@ -319,40 +317,39 @@ class TestStructuralRegularizer:
         z = rng.normal(size=(9, 16))
         src, dst = g.directed_edges()
         real = NegativeSampler(g, 5)
-        negs = real.edge_negatives(src, dst, 4)
-        by_edge = {(int(i), int(j)): negs[e] for e, (i, j) in enumerate(zip(src, dst))}
-        value, grad = structural_regularizer(
-            z, g, EdgeKeyedSampler(g, by_edge), 4)
+        negs = real.edge_negatives(src, 4)
+        value, grad = structural_regularizer(z, g, ReplaySampler(g, negs), 4)
 
         perm = rng.permutation(9)
         g2 = build_graph(np.column_stack([perm[src], perm[dst]]), 9)
         z2 = np.empty_like(z)
         z2[perm] = z
-        by_edge2 = {(int(perm[i]), int(perm[j])): perm[negs[e]]
-                    for e, (i, j) in enumerate(zip(src, dst))}
-        value2, grad2 = structural_regularizer(
-            z2, g2, EdgeKeyedSampler(g2, by_edge2), 4)
+        # each relabeled edge replays its original edge's row of draws, relabeled
+        src2, dst2 = g2.directed_edges()
+        inv = np.argsort(perm)
+        row = np.searchsorted(src * 9 + dst, inv[src2] * 9 + inv[dst2])
+        value2, grad2 = structural_regularizer(z2, g2, ReplaySampler(g2, perm[negs[row]]), 4)
         assert value2.total == pytest.approx(value.total, rel=1e-12)
         assert np.allclose(grad2[perm], grad, atol=1e-9)
 
-    def test_matches_dense_reference_across_chunks_skips_and_repeats(self, caplog):
+    def test_matches_dense_reference_across_chunks_skips_and_repeats(self):
         rng = np.random.default_rng(10)
         n, k = 300, 4
         iu, ju = np.triu_indices(n, k=1)
         keep = rng.random(iu.size) < 0.035
         hub = [(0, j) for j in range(1, n)]  # node 0 has no non-neighbors
         g = build_graph(np.vstack([np.column_stack([iu[keep], ju[keep]]), hub]), n)
-        src, dst = g.directed_edges()
+        src, _ = g.directed_edges()
         counts = g.num_nodes - 1 - g.degrees
         can_sample = counts[src] > 0
         assert counts[0] == 0
         assert can_sample.sum() > losses._EDGE_CHUNK  # a chunk boundary is crossed
-        negs = NegativeSampler(g, 3).edge_negatives(src[can_sample], dst[can_sample], k)
+        negs = NegativeSampler(g, 3).edge_negatives(src[can_sample], k)
         negs[0, 1] = negs[0, 0]  # one (src, negative) pair drawn twice
         z = rng.normal(size=(n, 16)) * 0.5
-        with caplog.at_level(logging.WARNING):
-            value, grad = structural_regularizer(z, g, ReplaySampler(g, negs), k)
-        assert f"skipped negative terms for {n - 1} directed edges" in caplog.text
+        stats: dict = {}
+        value, grad = structural_regularizer(z, g, ReplaySampler(g, negs), k, stats=stats)
+        assert stats["skipped_edges"] == n - 1
         ref_value, ref_grad = dense_regularizer(z, g, negs, can_sample)
         assert value.total == pytest.approx(ref_value, rel=1e-12)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
@@ -382,9 +379,9 @@ class TestStructuralRegularizer:
         for n in (4000, 8000):
             rng = np.random.default_rng(14)
             g = build_graph(rng.integers(0, n, size=(21 * n // 10, 2)), n)
-            src, dst = g.directed_edges()
+            src, _ = g.directed_edges()
             assert src.size > 8 * losses._EDGE_CHUNK * n // 4000
-            negs = NegativeSampler(g, 0).edge_negatives(src, dst, k)
+            negs = NegativeSampler(g, 0).edge_negatives(src, k)
             z = rng.normal(size=(n, d))
             _, peak = traced_peak(structural_regularizer, z, g, ReplaySampler(g, negs), k)
             peaks.append(peak)
@@ -401,9 +398,9 @@ class TestStructuralRegularizer:
         n, k, d = 8000, 50, 16
         rng = np.random.default_rng(15)
         g = build_graph(rng.integers(0, n, size=(18000, 2)), n)
-        src, dst = g.directed_edges()
+        src, _ = g.directed_edges()
         assert src.size > 17 * losses._EDGE_CHUNK
-        negs = NegativeSampler(g, 0).edge_negatives(src, dst, k)
+        negs = NegativeSampler(g, 0).edge_negatives(src, k)
         z = rng.normal(size=(n, d))
         _, peak = traced_peak(structural_regularizer, z, g, ReplaySampler(g, negs), k)
         linear = 8 * (n + src.size) * (2 * d + 8)
@@ -438,9 +435,9 @@ def _kernel_case(name):
         src, dst = g.directed_edges()
         g = build_graph(np.vstack([np.column_stack([src, dst]),
                                    [(0, j) for j in range(1, n)]]), n)
-    src, dst = g.directed_edges()
+    src, _ = g.directed_edges()
     ok = g.num_nodes - 1 - g.degrees[src] > 0
-    negs = NegativeSampler(g, 3).edge_negatives(src[ok], dst[ok], k)
+    negs = NegativeSampler(g, 3).edge_negatives(src[ok], k)
     if name == "repeated":
         negs[0, 1] = negs[0, 0]
         negs[5] = negs[5, 0]
@@ -542,8 +539,8 @@ class TestFullModelGradient:
         ids = rng.permutation(7)
         part = DistancePartition(np.sort(ids[:2]), np.sort(ids[2:5]),
                                  np.sort(ids[5:]), np.zeros(7), delta=3)
-        src, dst = g.directed_edges()
-        negs = NegativeSampler(g, 1).edge_negatives(src, dst, 2)
+        src, _ = g.directed_edges()
+        negs = NegativeSampler(g, 1).edge_negatives(src, 2)
         sampler = ReplaySampler(g, negs)
         cfg = LossConfig(kind="distance_aware", alpha=0.05, k=2)
 

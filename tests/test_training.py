@@ -1,11 +1,11 @@
-import importlib
+import logging
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pugraph.data import build_dataset, save_jsonl
+from pugraph.data import build_dataset
 from pugraph.errors import ConfigError, InputError, TrainingAbort
 from pugraph.graph import build_graph, normalize_adjacency
 from pugraph.losses import LossConfig, distpu_loss
@@ -13,7 +13,7 @@ from pugraph.nn import (Y_EPS, forward_from_propagated, gcn_backward,
                         init_params, save_checkpoint)
 from pugraph.train import Adam, NegativeSampler, TrainConfig, train
 
-from conftest import random_graph, small_manifest, traced_peak
+from conftest import random_graph, save_jsonl, small_manifest, traced_peak
 
 
 class TestAdam:
@@ -108,7 +108,7 @@ class ReferenceRejectionSampler:
 def node_negatives(sampler, node, k):
     """k draws for one node, through edge_negatives with a one-source array."""
     one = np.array([node])
-    return sampler.edge_negatives(one, one, k)[0]
+    return sampler.edge_negatives(one, k)[0]
 
 
 def searchsorted_mask(graph, queries, cand):
@@ -156,24 +156,22 @@ class TestHashedPrefilter:
         edges = g.indices.size
         assert sampler._marked.size == 2 ** max(10, int(np.ceil(np.log2(32 * edges))))
         assert 32 * edges <= sampler._marked.size < 64 * edges
-        src, dst = g.directed_edges()
-        sampler.edge_negatives(src, dst, 50)
+        src, _ = g.directed_edges()
+        sampler.edge_negatives(src, 50)
         counts = sampler.counts
         # the edges plus at most about 1/32 of the other draws reach the exact check
         assert counts["exact_checks"] < 0.05 * counts["draws"]
         assert counts["draws"] >= 50 * src.size
 
     def test_every_draw_checked_when_the_table_is_full(self, monkeypatch):
-        # pugraph.train names the function; the module is in sys.modules
-        monkeypatch.setattr(importlib.import_module("pugraph.train"), "_SLOTS_PER_EDGE",
-                            2.0 ** -20)
+        monkeypatch.setattr("pugraph.train._SLOTS_PER_EDGE", 2.0 ** -20)
         rng = np.random.default_rng(26)
         g = random_graph(rng, 300, 0.3)  # about 27k directed edges in 1,024 slots
         sampler, ref = NegativeSampler(g, 5), ReferenceRejectionSampler(g, 5)
         assert sampler._marked.size == 1024 and sampler._marked.all()
-        src, dst = g.directed_edges()
+        src, _ = g.directed_edges()
         want = ref._draw(np.repeat(src, 7)).reshape(src.size, 7)
-        assert np.array_equal(sampler.edge_negatives(src, dst, 7), want)
+        assert np.array_equal(sampler.edge_negatives(src, 7), want)
         assert sampler.counts["exact_checks"] == sampler.counts["draws"]
         queries, cand = rng.integers(0, 300, size=(2, 5000))
         assert np.array_equal(sampler._rejected(queries, cand),
@@ -202,11 +200,11 @@ class TestNegativeSampler:
             new, ref = NegativeSampler(g, 5), ReferenceRejectionSampler(g, 5)
             src, dst = g.directed_edges()
             ok = new.non_neighbor_counts[src] > 0
-            src, dst = src[ok], dst[ok]
+            src = src[ok]
             # consecutive calls continue one stream
             for k in (1, 7, 30):
                 want = ref._draw(np.repeat(src, k)).reshape(src.size, k)
-                assert np.array_equal(new.edge_negatives(src, dst, k), want)
+                assert np.array_equal(new.edge_negatives(src, k), want)
             for node in (0, g.num_nodes - 1):
                 want = ref._draw(np.full(200, node, dtype=np.int64))
                 assert np.array_equal(node_negatives(new, node, 200), want)
@@ -216,8 +214,8 @@ class TestNegativeSampler:
         rng = np.random.default_rng(22)
         g = build_graph(rng.integers(0, 5000, size=(12_500, 2)), 5000)
         sampler = NegativeSampler(g, 0)
-        src, dst = g.directed_edges()
-        draws, peak = traced_peak(sampler.edge_negatives, src, dst, 50)
+        src, _ = g.directed_edges()
+        draws, peak = traced_peak(sampler.edge_negatives, src, 50)
         assert peak < 6 * draws.nbytes
 
     def test_star_leaf_excludes_center_and_self(self):
@@ -244,9 +242,9 @@ class TestNegativeSampler:
         queries = [(3, 4), (7, 2), (3, 8)]
         for node, k in queries:
             assert np.array_equal(node_negatives(a, node, k), node_negatives(b, node, k))
-        src, dst = g.directed_edges()
-        assert np.array_equal(a.edge_negatives(src, dst, 5),
-                              b.edge_negatives(src, dst, 5))
+        src, _ = g.directed_edges()
+        assert np.array_equal(a.edge_negatives(src, 5),
+                              b.edge_negatives(src, 5))
 
     def test_no_non_neighbors_raises(self):
         g = build_graph([(0, 1), (0, 2), (1, 2)], 3)  # complete
@@ -364,13 +362,13 @@ class TestTrain:
         assert log[0]["frac_clipped"] == np.mean((y <= Y_EPS) | (y >= 1.0 - Y_EPS))
         # each epoch's counts are those of one edge_negatives call
         ref = NegativeSampler(ds.graph, 3)
-        src, dst = ds.graph.directed_edges()
+        src, _ = ds.graph.directed_edges()
         ok = ref.non_neighbor_counts[src] > 0
         for rec in log:
             assert 0.0 <= rec["frac_clipped"] <= 1.0
             assert 0.0 <= rec["frac_positive"] <= 1.0
             before = dict(ref.counts)
-            ref.edge_negatives(src[ok], dst[ok], 5)
+            ref.edge_negatives(src[ok], 5)
             assert rec["sampler"] == {k: v - before[k] for k, v in ref.counts.items()}
             assert rec["sampler"]["draws"] >= 5 * ok.sum()
             # the epoch's wall time split into phases, none overlapping, and
@@ -392,7 +390,7 @@ class TestTrain:
                    for rec in log)
         assert all(rec["pairs"] == 0 and rec["skipped_edges"] == 0 for rec in log)
 
-    def test_log_counts_the_edges_of_a_node_adjacent_to_all(self, tmp_path):
+    def test_log_counts_the_edges_of_a_node_adjacent_to_all(self, tmp_path, caplog):
         # node 0 has no non-neighbors: its 59 directed edges skip their negatives
         n, k = 60, 3
         rng = np.random.default_rng(8)
@@ -404,7 +402,12 @@ class TestTrain:
                     "positive_classes": ["pos"], "train_fraction": 0.5, "split_seed": 0}
         ds = build_dataset(manifest, 0.2, 0, 2)
         cfg = TrainConfig(epochs=2, loss=LossConfig(kind="distance_aware", delta=2, k=k))
-        _, log = train(ds, cfg)
+        with caplog.at_level(logging.WARNING, logger="pugraph"):
+            _, log = train(ds, cfg)
+        # one warning per run, not one per epoch
+        assert [r.getMessage() for r in caplog.records] == [
+            f"structural_regularizer skips the negative terms of {n - 1} directed "
+            "edges whose source has no non-neighbors"]
         src, _ = graph.directed_edges()
         for rec in log:
             assert rec["skipped_edges"] == n - 1 > 0
