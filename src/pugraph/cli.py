@@ -23,6 +23,7 @@ line argparse rejects), 3 numeric abort.
 import argparse
 import datetime
 import json
+import logging
 import os
 import sys
 import time
@@ -36,10 +37,11 @@ from .errors import EXIT_CODES, ConfigError, TrainingAbort, error_kind
 from .evaluate import (SWEEPS, aggregate, resolve_loss, run_sweep, score,
                        write_results_csv)
 from .nn import load_checkpoint, save_checkpoint
-from .published import external_rows
 from .train import TrainConfig, train
 
 DATA_DIR_ENV = "PUGRAPH_DATA"
+
+log = logging.getLogger(__name__)
 
 
 def _fail(kind: str, code: int, message: str) -> int:
@@ -186,6 +188,9 @@ def cmd_train(args) -> int:
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), params)
     _write_train_log(out_dir, records)
     metrics = score(dataset, params)
+    if metrics.frac_positive in (0.0, 1.0):
+        log.warning("the trained model predicts every node %s",
+                    "positive" if metrics.frac_positive else "negative")
     _write_json(os.path.join(out_dir, "result.json"), {
         "dataset": manifest.get("name", "unnamed"),
         "seed": cfg.seed,
@@ -207,10 +212,8 @@ def cmd_sweep(args) -> int:
     _write_run_manifest(out_dir, args.config, config)
     results = run_sweep(manifest, args.kind, args.ratios, range(args.seeds), _train_config(config),
                         _section(config, "loss"), jobs=args.jobs)
-    extra = external_rows(manifest.get("name", "")) if args.kind == "main" else []
     write_results_csv(os.path.join(out_dir, "runs.csv"), results)
-    _write_json(os.path.join(out_dir, "aggregate.json"),
-                {"rows": aggregate(results), "external": extra})
+    _write_json(os.path.join(out_dir, "aggregate.json"), {"rows": aggregate(results)})
     failures = [r for r in results if r.error]
     print(f"sweep {args.kind}: {len(results) - len(failures)} runs ok, "
           f"{len(failures)} failed, out={out_dir}")
@@ -268,6 +271,12 @@ def _ratios(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pugraph",
@@ -292,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("kind", choices=list(SWEEPS), help="which sweep to run")
     common(p_sweep, seed=False)  # a sweep runs seeds 0..N-1
     p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--seeds", type=int, default=5,
+    p_sweep.add_argument("--seeds", type=_positive_int, default=5,
                          help="number of seeds (0..N-1) per cell")
     p_sweep.add_argument("--ratios", type=_ratios, default=None,
                          help="comma-separated label ratios (default: the kind's own)")

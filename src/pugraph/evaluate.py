@@ -74,6 +74,7 @@ class MetricSummary:
     f1_pos: float
     f1_neg: float
     confusion: ConfusionCounts
+    frac_positive: float  # share of every scored node, masked or not, at >= 0.5
 
 
 @dataclass
@@ -112,14 +113,16 @@ def _f1(tp: int, fp: int, fn: int) -> float:
 
 def macro_f1(y_hat: np.ndarray, true_label: np.ndarray,
              eval_mask: np.ndarray) -> MetricSummary:
-    """Unweighted mean of the two per-class F1 scores, as percentages."""
+    """Unweighted mean of the two per-class F1 scores over the masked nodes,
+    as percentages, and the share of all nodes predicted positive."""
     eval_mask = np.asarray(eval_mask)
     if not eval_mask.any():
         raise InputError("macro_f1 requires a nonempty evaluation mask")
     c = confusion_counts(y_hat, true_label, eval_mask)
     f1_pos = 100.0 * _f1(c.tp, c.fp, c.fn)
     f1_neg = 100.0 * _f1(c.tn, c.fn, c.fp)
-    return MetricSummary((f1_pos + f1_neg) / 2.0, f1_pos, f1_neg, c)
+    return MetricSummary((f1_pos + f1_neg) / 2.0, f1_pos, f1_neg, c,
+                         float((np.asarray(y_hat) >= 0.5).mean()))
 
 
 def resolve_loss(settings: dict, prepared: PreparedDataset) -> LossConfig:

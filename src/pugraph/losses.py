@@ -9,8 +9,10 @@ the distance-aware loss with an empty far set and pi_hat = pi_p reduces to
 the Dist-PU loss bit-exactly, not just approximately.
 
 structural_regularizer has one path for every graph size, chunked per directed
-edge, in O((n + E) * d + chunk * k + tile) memory for E edges: no n x n
-array. It works with two sizes. Chunks of _EDGE_CHUNK edges are fixed: the
+edge, in O((n + E) * d + E * k) memory for E edges and k negatives each: no
+n x n array. The E * k term is the sampler's int64 draws, held whole for the
+call (about 14 MB on sbm-8k); the chunks and tiles add only fixed workspaces.
+It works with two sizes. Chunks of _EDGE_CHUNK edges are fixed: the
 value's vdot and the gradient's bincount sums run over a whole chunk, so
 the chunk sets their order and the bits. Tiles of a chunk are sized for the
 cache (about _TILE_FLOATS gathered floats, 1 MB) and change no bits, since
@@ -235,8 +237,9 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler, k: int,
     differences s - target (later its bincount weights) and coefficients
     live in (chunk, k) workspaces, a tile's dots and source sides in (tile,
     k) and (tile, d) ones, all allocated once per call and written through
-    `out=`. Memory stays O((n + E) * d + _EDGE_CHUNK * k + _TILE_FLOATS) for
-    E directed edges, never O(n^2).
+    `out=`. Memory stays O((n + E) * d + E * k) for E directed edges, never
+    O(n^2): the (E, k) draws are held for the whole call, and the workspaces
+    add O(_EDGE_CHUNK * k + _TILE_FLOATS).
 
     A `stats` dict, when given, gets the sampler's wall time (`sampler_ms`),
     the pairs scored (`pairs`: E positive plus k per sampleable edge) and

@@ -50,6 +50,7 @@ class TrainConfig:
 
 _SLOTS_PER_EDGE = 32  # sampler: membership-table slots per directed edge
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
+_CHECK_BLOCK = 2**16  # sampler: candidates per block of the first rejection test
 
 
 class NegativeSampler:
@@ -67,6 +68,12 @@ class NegativeSampler:
     _SLOTS_PER_EDGE to 2 * _SLOTS_PER_EDGE bytes per directed edge, O(E).
     The rejection mask is exactly the exact test's, so the redraw order and
     the draw stream are those of the plain searchsorted test.
+
+    `edge_negatives` holds its (E', k) int64 output and, besides it, one
+    block's queries and keys (about _CHECK_BLOCK entries each) plus the
+    rejected entries: on a Cora- or sbm-8k-shaped graph at k = 50 its
+    allocations peak at about 1.1 to 1.3 times the output. The block size
+    changes no draw, count or bit.
 
     `counts` accumulates, over the sampler's life, the candidates drawn
     (redraws included), the redraw rounds and the candidates that reached
@@ -110,30 +117,33 @@ class NegativeSampler:
             bad[check] |= pos == keys
         return bad
 
-    def _draw(self, queries: np.ndarray) -> np.ndarray:
-        """One valid draw per entry of `queries` (flat array of node ids).
+    def edge_negatives(self, src: np.ndarray, k: int) -> np.ndarray:
+        """k draws from the non-neighbors of each src node, one row per entry.
 
-        Every entry draws once; only the rejected entries draw again, in
-        order, until none is left.
+        All E' * k candidates come from one draw. The first rejection test
+        runs over blocks of whole edges, about _CHECK_BLOCK candidates each,
+        whose queries are repeated per block; then only the rejected
+        entries, in order, draw again until none is left.
         """
+        if src.size and (self.non_neighbor_counts[src] == 0).any():
+            raise InputError("edge_negatives called with a source that has no non-neighbors")
         n = self.graph.num_nodes
-        out = self.rng.integers(0, n, size=queries.size)
+        out = self.rng.integers(0, n, size=src.size * k)
         self.counts["draws"] += out.size
-        pending = np.flatnonzero(self._rejected(queries, out))
+        step = max(1, _CHECK_BLOCK // k)  # edges per block
+        pending = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            lo * k + np.flatnonzero(self._rejected(np.repeat(src[lo:lo + step], k),
+                                                   out[lo * k:(lo + step) * k]))
+            for lo in range(0, src.size, step)])
+        queries = src[pending // k]
         while pending.size:
             cand = self.rng.integers(0, n, size=pending.size)
             self.counts["draws"] += cand.size
             self.counts["redraw_rounds"] += 1
-            bad = self._rejected(queries[pending], cand)
+            bad = self._rejected(queries, cand)
             out[pending[~bad]] = cand[~bad]
-            pending = pending[bad]
-        return out
-
-    def edge_negatives(self, src: np.ndarray, k: int) -> np.ndarray:
-        """k draws from the non-neighbors of each src node, one row per entry."""
-        if src.size and (self.non_neighbor_counts[src] == 0).any():
-            raise InputError("edge_negatives called with a source that has no non-neighbors")
-        return self._draw(np.repeat(src, k)).reshape(src.size, k)
+            pending, queries = pending[bad], queries[bad]
+        return out.reshape(src.size, k)
 
 
 _BETAS = (0.9, 0.999)  # Adam's moment decay rates

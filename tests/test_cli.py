@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pugraph
-from pugraph import evaluate
+from pugraph import cli, evaluate
 from pugraph.cli import _train_config, main
 from pugraph.data import build_dataset, prepare_dataset
 from pugraph.evaluate import MAIN_METHODS, resolve_loss
@@ -108,6 +108,38 @@ class TestTrainCommand:
         assert {k: v for k, v in threads.items() if k != "cpu_count"} == {
             "openblas_num_threads": "1", "omp_num_threads": "2", "mkl_num_threads": "3"}
 
+    @pytest.mark.parametrize("b_head, share, word", [(50.0, 1.0, "positive"),
+                                                     (-50.0, 0.0, "negative")])
+    def test_a_one_class_model_is_recorded_and_warned_once(self, tmp_path, capsys, caplog,
+                                                          monkeypatch, b_head, share, word):
+        original = cli.train
+
+        def one_class(dataset, config):
+            params, records = original(dataset, config)
+            params.values["b_head"][...] = b_head  # every score on one side of 0.5
+            return params, records
+
+        monkeypatch.setattr(cli, "train", one_class)
+        config_path = write_config(tmp_path, train={"epochs": 2})
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "result.json").read_text())["frac_positive"] == share
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [r.getMessage() for r in warnings] == [
+            f"the trained model predicts every node {word}"]
+        metrics_path = tmp_path / "eval.json"
+        assert main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--out", str(metrics_path)]) == 0
+        assert json.loads(metrics_path.read_text())["frac_positive"] == share
+
+    def test_a_two_class_model_is_not_warned(self, tmp_path, capsys, caplog):
+        config_path = write_config(tmp_path, train={"epochs": 20}, loss={
+            "kind": "distance_aware", "delta": 2, "alpha": 0.0})
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert 0.0 < json.loads((out_dir / "result.json").read_text())["frac_positive"] < 1.0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
     def test_pi_hat_not_above_pi_breve_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path, loss={"kind": "distance_aware", "delta": 2,
                                                    "pi_hat": 0.3, "pi_breve": 0.3})
@@ -206,6 +238,27 @@ class TestSweepCommand:
             assert len(row["errors"]) == 2
             assert all(e.startswith("FileNotFoundError") and "absent.content" in e
                        for e in row["errors"])
+
+    def test_main_sweep_on_cora_writes_only_the_computed_rows(self, tmp_path, capsys):
+        # no transcribed numbers from other papers ride along for a known name
+        config_path = write_config(tmp_path, dataset=small_manifest(name="cora"),
+                                   train={"epochs": 2})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "main", "--config", str(config_path), "--out", str(out_dir),
+                     "--seeds", "1", "--ratios", "0.02"]) == 0
+        aggregate = json.loads((out_dir / "aggregate.json").read_text())
+        assert list(aggregate) == ["rows"]
+        assert {r["dataset"] for r in aggregate["rows"]} == {"cora"}
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_are_a_usage_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "main", "--config", str(write_config(tmp_path)), "--out",
+                  str(out), "--seeds", seeds, "--ratios", "0.02"])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def spy_losses(monkeypatch) -> list:

@@ -31,6 +31,13 @@ def counting(monkeypatch, module: str, name: str, delay: float = 0.0):
     return calls
 
 
+def test_frac_positive_counts_every_node_not_only_the_masked_ones():
+    y = np.array([0.9, 0.5, 0.2, 0.1])
+    metrics = macro_f1(y, np.array([1, 0, 0, 1]), np.array([False, False, True, True]))
+    assert metrics.frac_positive == 0.5
+    assert (metrics.confusion.tp, metrics.confusion.fp) == (0, 0)
+
+
 class TestPreparedDataset:
     def test_draw_from_prepared_equals_draw_from_manifest(self):
         prepared = prepare_dataset(small_manifest())

@@ -187,6 +187,18 @@ class TestHashedPrefilter:
         assert peak < 128 * g.indices.size
         assert peak < n * n / 8 / 8
 
+    def test_edge_negatives_tests_its_draws_in_blocks(self):
+        # the first rejection test runs over blocks of whole edges, so no
+        # array but the output is E * k long; a whole-array test peaks at
+        # about 3.3x the output
+        rng = np.random.default_rng(27)
+        g = build_graph(rng.integers(0, 2708, size=(5429, 2)), 2708)  # Cora-sized
+        sampler = NegativeSampler(g, 0)
+        src, _ = g.directed_edges()
+        draws, peak = traced_peak(sampler.edge_negatives, src, 50)
+        assert draws.shape == (src.size, 50)
+        assert peak < 2 * draws.nbytes
+
 
 class TestNegativeSampler:
     def test_draw_stream_bit_equal_to_rejection_loop(self):
