@@ -19,8 +19,8 @@ builds on first use (`train.propagate`) and scoring reuses.
 
 import json
 import logging
-import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,54 +70,54 @@ class PUDataset:
         return self.graph.num_nodes
 
 
-def load_content_cites(content_path, cites_path):
-    """Parse the citation format; returns (Graph, features, class labels)."""
-    ids: list[str] = []
-    labels: list[str] = []
-    rows: list[str] = []      # the non-blank lines, parsed by np.loadtxt below
-    linenos: list[int] = []   # file line of each entry of rows
-    width = None
-    with open(content_path, "r", encoding="utf-8") as fh:
+def _content_error(path, width: int, read, exc) -> ParseError:
+    """The ParseError naming the file line of the first row `read` rejects; run
+    only after a failed parse, as loadtxt's row count skips blank lines."""
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
+            found = len(line.split())
+            if not found:
                 continue
-            if len(fields) < 3:
-                raise ParseError("content row needs id, >=1 feature, class",
-                                 str(content_path), lineno)
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(
-                    f"expected {width} columns, found {len(fields)}",
-                    str(content_path), lineno)
-            ids.append(fields[0])
-            labels.append(fields[-1])
-            rows.append(line)
-            linenos.append(lineno)
-    if not ids:
+            if found < 3:
+                return ParseError("content row needs id, >=1 feature, class", str(path), lineno)
+            if found != width:
+                return ParseError(f"expected {width} columns, found {found}", str(path), lineno)
+            try:
+                read([line])
+            except ValueError:
+                return ParseError(f"non-numeric feature value: {exc}", str(path), lineno)
+    return ParseError(f"unreadable content file: {exc}", str(path))
+
+
+def load_content_cites(content_path, cites_path):
+    """Parse the citation format; returns (Graph, features, class labels).
+
+    One np.loadtxt pass reads every row, which must have the first row's
+    column count; features are an (n, d) float64 view of its records.
+    """
+    with open(content_path, "r", encoding="utf-8") as fh:
+        width = next((len(fields) for fields in map(str.split, fh) if fields), 0)
+    if not width:
         raise InputError(f"{content_path}: content file has no rows")
+    # (a first row under 3 columns still gets 3 here, so loadtxt rejects it)
+    dtype = np.dtype([("id", object), ("x", np.float64, (max(width - 2, 1),)), ("label", object)])
+    read = partial(np.loadtxt, dtype=dtype, comments=None, encoding="utf-8", ndmin=1)
     try:
-        features = np.loadtxt(rows, dtype=np.float64, comments=None,
-                              usecols=range(1, width - 1), ndmin=2)
+        rows = read(content_path)
     except ValueError as exc:
-        # loadtxt counts rows from 0 over the lines it was given
-        row = re.search(r"at row (\d+)", str(exc))
-        raise ParseError(f"non-numeric feature value: {exc}", str(content_path),
-                         linenos[int(row.group(1))] if row else 0) from None
+        raise _content_error(content_path, width, read, exc) from None
+    ids, features, labels = rows["id"], rows["x"], rows["label"].tolist()
     index = {node_id: i for i, node_id in enumerate(ids)}
     if len(index) != len(ids):
         raise InputError(f"{content_path}: duplicate node ids in content file")
-    edges = []
-    skipped = 0
+    edges, skipped = [], 0
     with open(cites_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
                 continue
             if len(fields) != 2:
-                raise ParseError("cites row needs exactly two ids",
-                                 str(cites_path), lineno)
+                raise ParseError("cites row needs exactly two ids", str(cites_path), lineno)
             a, b = fields
             if a not in index or b not in index:
                 skipped += 1
@@ -132,10 +132,7 @@ def load_content_cites(content_path, cites_path):
 
 def load_jsonl(path):
     """Parse the JSON-lines interchange format; same contract as load_content_cites."""
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    labels: list[str] = []
-    neighbor_lists: list[list[str]] = []
+    ids, rows, labels, neighbor_lists = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -145,19 +142,27 @@ def load_jsonl(path):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", str(path), lineno) from None
             for key in ("id", "features", "label", "neighbors"):
-                if key not in obj:
+                if not isinstance(obj, dict) or key not in obj:
                     raise ParseError(f"missing key {key!r}", str(path), lineno)
+                if key in ("features", "neighbors") and not isinstance(obj[key], list):
+                    raise ParseError(f"{key!r} must be a list", str(path), lineno)
+            try:
+                row = [float(x) for x in obj["features"]]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"non-numeric feature value: {exc}", str(path), lineno) from None
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(f"expected {len(rows[0])} features, found {len(row)}",
+                                 str(path), lineno)
             ids.append(str(obj["id"]))
-            rows.append([float(x) for x in obj["features"]])
+            rows.append(row)
             labels.append(str(obj["label"]))
             neighbor_lists.append([str(x) for x in obj["neighbors"]])
     if not ids:
         raise InputError(f"{path}: no records")
     index = {}
     for i, node_id in enumerate(ids):
-        if node_id in index:
+        if index.setdefault(node_id, i) != i:
             raise InputError(f"{path}: duplicate node id {node_id!r}")
-        index[node_id] = i
     edges = []
     for i, nbrs in enumerate(neighbor_lists):
         for nbr in nbrs:
@@ -290,6 +295,7 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     binary = np.array([name in positive for name in labels], dtype=np.int64)
     if manifest.get("normalize_features", True):
         features = normalize_features(features)
+    features = np.ascontiguousarray(features)  # a content file's is a strided view
     train_mask, test_mask = make_train_test_split(
         graph.num_nodes, resolve_train_count(graph.num_nodes, manifest),
         _number(manifest, "split_seed", 0))

@@ -109,7 +109,7 @@ class DistancePartition:
 
 
 def build_graph(edge_list, num_nodes: int) -> Graph:
-    """Build a CSR graph from (i, j) pairs.
+    """Build a CSR graph from (i, j) pairs: an (E, 2) array as it is, or any iterable.
 
     Duplicates, reversed duplicates and self-loops in the input are allowed;
     self-loops are dropped and each surviving edge is stored in both
@@ -117,7 +117,8 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
     """
     if num_nodes < 1:
         raise InputError(f"num_nodes must be >= 1, got {num_nodes}")
-    edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list),
+                       dtype=np.int64).reshape(-1, 2)
     if edges.size:
         bad = (edges < 0) | (edges >= num_nodes)
         if bad.any():

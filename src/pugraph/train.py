@@ -189,13 +189,6 @@ def propagate(dataset) -> tuple[NormalizedAdjacency, np.ndarray]:
     return prepared.propagation
 
 
-def _grad_norm(params: ParamStore) -> float:
-    total = 0.0
-    for g in params.grads.values():
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
-
-
 def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     """Run the full training loop; returns final parameters and per-epoch log.
 
@@ -254,7 +247,7 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
         params.zero_grad()
         t_backward = time.perf_counter()
         gcn_backward(cache, grad_y, grad_z, params)
-        gnorm = _grad_norm(params)
+        gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in params.grads.values())))
         t_adam = time.perf_counter()
         opt.step(params)
         t_end = time.perf_counter()

@@ -361,6 +361,17 @@ class TestPartitionCommand:
         assert code == 2
         assert "pugraph-error kind=data" in capsys.readouterr().err
 
+    def test_a_malformed_jsonl_record_exits_2_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "features": [1], "label": "pos", "neighbors": []}\n'
+                        '{"id": "b", "features": ["zz"], "label": "neg", "neighbors": []}\n')
+        manifest = {"format": "jsonl", "path": str(path), "positive_classes": ["pos"]}
+        code = main(["partition", "--config", str(write_config(tmp_path, dataset=manifest))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pugraph-error kind=data exit=2" in err
+        assert f"{path}:2: non-numeric feature value" in err
+
 
 class TestRemovedRoutes:
     def test_gen_synth_is_a_usage_error(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -107,6 +108,78 @@ class TestLoadContentCites:
         assert np.array_equal(features, bits)
         assert peak < 3 * features.nbytes
 
+    def load_text(self, tmp_path, text):
+        content = tmp_path / "t.content"
+        content.write_bytes(text.encode())
+        (tmp_path / "t.cites").write_text("")
+        return load_content_cites(content, tmp_path / "t.cites")
+
+    def test_crlf_line_endings(self, tmp_path):
+        _, features, labels = self.load_text(tmp_path, CONTENT_3.replace("\n", "\r\n"))
+        _, want, want_labels = self.load_text(tmp_path, CONTENT_3)
+        assert np.array_equal(features, want)
+        assert labels == want_labels == ["ml", "theory", "ml"]
+
+    def test_mixed_tab_and_space_separators(self, tmp_path):
+        _, features, labels = self.load_text(tmp_path, "n1 1\t0  1\tml\nn2\t0 1\t\t0 theory\n")
+        assert features.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        assert labels == ["ml", "theory"]
+
+    def test_hash_inside_an_id_and_a_class_is_text(self, tmp_path):
+        _, features, labels = self.load_text(tmp_path, "#n1\t1\tc#1\nn#2\t0\t#c\n")
+        assert features.tolist() == [[1.0], [0.0]]
+        assert labels == ["c#1", "#c"]
+        (tmp_path / "t.cites").write_text("#n1\tn#2\n")
+        graph, _, _ = load_content_cites(tmp_path / "t.content", tmp_path / "t.cites")
+        assert graph.num_edges == 1
+
+    def test_whitespace_only_last_line(self, tmp_path):
+        _, features, labels = self.load_text(tmp_path, CONTENT_3 + " \t ")
+        assert features.shape == (3, 3)
+        assert labels == ["ml", "theory", "ml"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n n1\tml\nn2\t1\tml\n", "t.content:2: content row needs id, >=1 feature, class"),
+        ("n1\t1\tml\nn2\t1\tml\nn3\t1\t2\tml\nn4\tx\tml\n",
+         "t.content:3: expected 3 columns, found 4"),
+        ("n1\t1\tml\n\nn2\tx\tml\nn3\t1\t2\tml\n", "t.content:3: non-numeric feature value"),
+    ])
+    def test_the_first_bad_row_in_file_order_is_named(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
+            self.load_text(tmp_path, text)
+
+    def test_one_feature_column(self, tmp_path):
+        _, features, labels = self.load_text(tmp_path, "a\t0.5\tx\nb\t-2\ty\n")
+        assert features.shape == (2, 1)
+        assert features[:, 0].tolist() == [0.5, -2.0]
+        assert labels == ["x", "y"]
+
+    def test_parse_holds_no_per_line_text(self, tmp_path):
+        # the file's text outweighs the parsed features, so a parser that
+        # keeps its lines while it converts them cannot stay under the bound
+        values = np.random.default_rng(1).random((1500, 400))
+        text = "".join(f"v{i}\t" + "\t".join(f"{x:.7f}" for x in row) + "\tc\n"
+                       for i, row in enumerate(values))
+        assert len(text) > values.nbytes
+        content = tmp_path / "i.content"
+        content.write_text(text)
+        (tmp_path / "i.cites").write_text("")
+        (_, features, _), peak = traced_peak(load_content_cites, content,
+                                             tmp_path / "i.cites")
+        assert np.abs(features - values).max() < 1e-7
+        assert peak < 1.5 * features.nbytes
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_prepared_features_are_c_contiguous_float64(self, tiny_files, normalize):
+        content, cites = tiny_files
+        prepared = prepare_dataset({"format": "content_cites", "content": str(content),
+                                    "cites": str(cites), "positive_classes": ["ml"],
+                                    "normalize_features": normalize, "train_count": 1})
+        assert prepared.features.flags.c_contiguous
+        assert prepared.features.dtype == np.float64
+        raw = load_content_cites(content, cites)[1]
+        assert np.array_equal(prepared.features, normalize_features(raw) if normalize else raw)
+
 
 class TestJsonl:
     def test_round_trip_tiny(self, tiny_files, tmp_path):
@@ -147,6 +220,41 @@ class TestJsonl:
         path.write_text('{"id": "a", "features": [1], "label": "x", "neighbors": []}\n{oops\n')
         with pytest.raises(ParseError, match="bad.jsonl:2"):
             load_jsonl(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": "b", "features": [1, "zz"], "label": "x", "neighbors": []}',
+         "non-numeric feature value"),
+        ('{"id": "b", "features": [1, null], "label": "x", "neighbors": []}',
+         "non-numeric feature value"),
+        ('{"id": "b", "features": [1, 2, 3], "label": "x", "neighbors": []}',
+         "expected 2 features, found 3"),
+        ('{"id": "b", "features": [1], "label": "x", "neighbors": []}',
+         "expected 2 features, found 1"),
+        ('{"id": "b", "features": "12", "label": "x", "neighbors": []}',
+         "'features' must be a list"),
+        ('{"id": "b", "features": [1, 2], "label": "x", "neighbors": "a"}',
+         "'neighbors' must be a list"),
+        ('[1, 2]', "missing key 'id'"),
+    ])
+    def test_bad_record_is_a_parse_error_naming_its_line(self, tmp_path, record, message):
+        path = tmp_path / "rec.jsonl"
+        path.write_text('{"id": "a", "features": [1, 2], "label": "x", "neighbors": []}\n\n'
+                        + record + "\n")
+        with pytest.raises(ParseError, match=f"rec.jsonl:3: {message}"):
+            load_jsonl(path)
+
+    def test_values_bit_equal_to_python_float(self, tmp_path):
+        values = [0, 1, -2.5, 1e-3, 0.1, 3.141592653589793, 1e300, -0.0, 5e-324,
+                  123456789.123456789, 2**60 + 1, "0.1", "-0", "inf"]
+        path = tmp_path / "v.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": str(i), "features": values[i:] + values[:i],
+                        "label": "x", "neighbors": []}) + "\n"
+            for i in range(len(values))))
+        _, features, _ = load_jsonl(path)
+        oracle = np.array([[float(x) for x in json.loads(line)["features"]]
+                           for line in path.read_text().splitlines()])
+        assert np.array_equal(features.view(np.int64), oracle.view(np.int64))
 
 
 def reference_binary_labels(labels, positive_classes):

@@ -46,6 +46,19 @@ class TestBuildGraph:
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
         assert list(g.degrees) == [1, 2, 2, 2, 1]
 
+    def test_array_list_and_generator_give_bit_equal_graphs(self):
+        graph, _ = generate_sbm(60, 40, 0.2, 0.02, 3)
+        src, dst = graph.directed_edges()
+        pairs = np.column_stack([src, dst])
+        pairs = np.concatenate([pairs, pairs[:5, ::-1], [[7, 7]]])  # duplicates, a loop
+        built = [build_graph(pairs, 100),
+                 build_graph([tuple(p) for p in pairs.tolist()], 100),
+                 build_graph((tuple(p) for p in pairs.tolist()), 100)]
+        for other in built:
+            assert np.array_equal(other.indptr, graph.indptr)
+            assert np.array_equal(other.indices, graph.indices)
+            assert other.indptr.dtype == other.indices.dtype == np.int64
+
     def test_out_of_range_edge_names_pair(self):
         with pytest.raises(InputError, match=r"\(1, 5\)"):
             build_graph([(0, 1), (1, 5)], 3)
