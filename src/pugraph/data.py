@@ -20,7 +20,7 @@ builds on first use (`train.propagate`) and scoring reuses.
 import json
 import logging
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -70,6 +70,27 @@ class PUDataset:
         return self.graph.num_nodes
 
 
+def _utf8(loader):
+    """The loader, where a byte that is not UTF-8 is a ParseError naming its file
+    line; the files are scanned for it as bytes only after a decode failed."""
+    @wraps(loader)
+    def load(*paths):
+        try:
+            return loader(*paths)
+        except UnicodeDecodeError as exc:
+            error = ParseError(f"not valid UTF-8: {exc.reason}")
+        for path in paths:
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseError(f"byte 0x{line[exc.start]:02x} is not valid UTF-8",
+                                         str(path), lineno) from None
+        raise error
+    return load
+
+
 def _content_error(path, width: int, read, exc) -> ParseError:
     """The ParseError naming the file line of the first row `read` rejects; run
     only after a failed parse, as loadtxt's row count skips blank lines."""
@@ -89,6 +110,7 @@ def _content_error(path, width: int, read, exc) -> ParseError:
     return ParseError(f"unreadable content file: {exc}", str(path))
 
 
+@_utf8
 def load_content_cites(content_path, cites_path):
     """Parse the citation format; returns (Graph, features, class labels).
 
@@ -104,6 +126,8 @@ def load_content_cites(content_path, cites_path):
     read = partial(np.loadtxt, dtype=dtype, comments=None, encoding="utf-8", ndmin=1)
     try:
         rows = read(content_path)
+    except UnicodeDecodeError:
+        raise  # _utf8 finds its line; _content_error would decode the file again
     except ValueError as exc:
         raise _content_error(content_path, width, read, exc) from None
     ids, features, labels = rows["id"], rows["x"], rows["label"].tolist()
@@ -130,6 +154,7 @@ def load_content_cites(content_path, cites_path):
     return graph, features, labels
 
 
+@_utf8
 def load_jsonl(path):
     """Parse the JSON-lines interchange format; same contract as load_content_cites."""
     ids, rows, labels, neighbor_lists = [], [], [], []

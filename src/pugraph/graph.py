@@ -11,7 +11,8 @@ immutable after construction. This module provides:
 - multi_source_bfs: unweighted hop distances from a set of source nodes
 - partition_unlabeled: split unlabeled nodes by hop distance to the nearest
   labeled node (threshold delta)
-- generate_sbm: two-block stochastic block model with a counter-based RNG
+- generate_sbm: two-block stochastic block model in O(n + E), by geometric
+  skips between edges over a counter-based RNG
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .errors import InputError
 
 UNREACHABLE = np.inf
 _GATHER_ELEMS = 1 << 16  # matmul: elements of one row block's gather (512 KB)
-_PAIR_CHUNK = 1 << 20    # generate_sbm: node pairs drawn per chunk
+_PAIR_CHUNK = 1 << 20    # generate_sbm: most gaps drawn per batch
 
 
 @dataclass(frozen=True)
@@ -204,40 +205,41 @@ def generate_sbm(n_pos: int, n_neg: int, p_intra: float, p_inter: float,
                  seed: int) -> tuple[Graph, np.ndarray]:
     """Two-block stochastic block model; nodes [0, n_pos) form the positive block.
 
-    Each unordered pair (i, j), i < j, draws one uniform from a Philox
-    (counter-based) generator in row-major upper-triangle order, and is an
-    edge if the uniform is below p_intra (same block) or p_inter (different
-    blocks); the same seed always regenerates the identical graph. The
-    uniforms are drawn _PAIR_CHUNK pairs at a time: consecutive draws
-    continue the generator's stream, so the chunks reproduce one draw over
-    all n(n-1)/2 pairs while memory stays O(n + E + chunk).
+    Each pair (i, j), i < j, is an edge independently with probability p_intra
+    (same block) or p_inter (different blocks), drawn in O(n + E) time and
+    memory (Batagelj & Brandes, Phys. Rev. E 71, 2005): geometric gaps from
+    Philox(seed) skip along the row-major upper-triangle pair index from one
+    Bernoulli(p_intra) candidate to the next, and a cross-block candidate is
+    kept when its uniform from Philox(seed).jumped(), times p_intra, is below
+    p_inter. Both streams are read in order whatever the batch size (at most
+    _PAIR_CHUNK gaps), so the same arguments always give the identical graph.
     Returns the graph and per-node binary labels (1 = positive block).
     """
-    for name, p in (("p_intra", p_intra), ("p_inter", p_inter)):
-        if not 0.0 <= p <= 1.0:
-            raise InputError(f"{name} must lie in [0, 1], got {p}")
-    if p_inter > p_intra:
-        raise InputError("p_inter must not exceed p_intra")
+    if not 0.0 <= p_inter <= p_intra <= 1.0:
+        raise InputError(f"need 0 <= p_inter <= p_intra <= 1, got {p_inter}, {p_intra}")
     if n_pos < 1 or n_neg < 1:
         raise InputError("both blocks need at least one node")
     n = n_pos + n_neg
-    rng = np.random.Generator(np.random.Philox(seed))
+    gaps = np.random.Generator(np.random.Philox(seed))
+    thin = np.random.Generator(np.random.Philox(seed).jumped())
     # row i holds the pairs (i, i+1..n-1); row_start[i] is the index of its first
     row_start = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
     total = n * (n - 1) // 2
-    rows, cols = [], []
-    for lo in range(0, total, _PAIR_CHUNK):
-        u = rng.random(min(_PAIR_CHUNK, total - lo))
-        # p_inter <= p_intra, so every edge is among the draws below p_intra
-        hit = np.flatnonzero(u < p_intra)
-        pair = hit + lo
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    last = -1 if p_intra > 0.0 else total  # pair index of the latest candidate
+    while last < total:
+        hits = (total - 1 - last) * p_intra  # expected candidates still to come
+        gap = gaps.geometric(p_intra, min(_PAIR_CHUNK, int(hits + 6.0 * hits**0.5) + 1))
+        # a gap past the last pair ends the walk; clamped, the cumsum cannot overflow
+        pair = last + np.cumsum(np.minimum(gap, total + 1))
+        last = pair[-1]
+        pair = pair[pair < total]
         i = np.searchsorted(row_start, pair, side="right") - 1
         j = pair - row_start[i] + i + 1
-        keep = ((i < n_pos) == (j < n_pos)) | (u[hit] < p_inter)
-        rows.append(i[keep])
-        cols.append(j[keep])
-    graph = build_graph(np.column_stack([np.concatenate(rows), np.concatenate(cols)]), n)
+        keep = ((i < n_pos) == (j < n_pos)) | (thin.random(pair.size) * p_intra < p_inter)
+        edges.append(np.column_stack([i[keep], j[keep]]))
+    graph = build_graph(np.concatenate(edges), n)
     labels = np.zeros(n, dtype=np.int64)
     labels[:n_pos] = 1
     return graph, labels

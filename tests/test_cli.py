@@ -373,6 +373,17 @@ class TestPartitionCommand:
         assert f"{path}:2: non-numeric feature value" in err
 
 
+    def test_invalid_utf8_in_a_content_file_exits_2_naming_its_line(self, tmp_path, capsys):
+        content, cites = tmp_path / "u.content", tmp_path / "u.cites"
+        content.write_bytes(b"a\t1\t0\tpos\nb\t0\t1\tneg\nc\t1\t\xff\tneg\n")
+        cites.write_bytes(b"a\tb\n")
+        manifest = {"content": str(content), "cites": str(cites), "positive_classes": ["pos"]}
+        code = main(["partition", "--config", str(write_config(tmp_path, dataset=manifest))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pugraph-error kind=data exit=2" in err
+        assert f"{content}:3: byte 0xff is not valid UTF-8" in err
+
 class TestRemovedRoutes:
     def test_gen_synth_is_a_usage_error(self, tmp_path):
         # an SBM comes from a manifest with "format": "sbm"

@@ -169,6 +169,24 @@ class TestLoadContentCites:
         assert np.abs(features - values).max() < 1e-7
         assert peak < 1.5 * features.nbytes
 
+    @pytest.mark.parametrize("bad_file, rows_before", [
+        ("content", 1),
+        ("content", 3000),  # past the first 8 KB that a text read decodes at once
+        ("cites", 2),
+    ])
+    def test_invalid_utf8_is_a_parse_error_naming_its_file_line(self, tmp_path, monkeypatch,
+                                                               bad_file, rows_before):
+        monkeypatch.setattr("pugraph.data._content_error", None)  # a decode error never reaches it
+        rows = [f"n{i}\t1\t0\tml\n".encode() for i in range(rows_before)]
+        files = {"content": b"".join(rows + [b"nx\t1\t\xff\tml\n"]), "cites": b"n0\tn0\n"}
+        if bad_file == "cites":
+            files = {"content": b"".join(rows), "cites": b"n0\tn1\nn1\t\xffn0\n"}
+        for kind, data in files.items():
+            (tmp_path / f"u.{kind}").write_bytes(data)
+        line = rows_before + 1 if bad_file == "content" else 2
+        with pytest.raises(ParseError, match=f"u.{bad_file}:{line}: byte 0xff is not valid UTF-8"):
+            load_content_cites(tmp_path / "u.content", tmp_path / "u.cites")
+
     @pytest.mark.parametrize("normalize", [True, False])
     def test_prepared_features_are_c_contiguous_float64(self, tiny_files, normalize):
         content, cites = tiny_files
@@ -241,6 +259,13 @@ class TestJsonl:
         path.write_text('{"id": "a", "features": [1, 2], "label": "x", "neighbors": []}\n\n'
                         + record + "\n")
         with pytest.raises(ParseError, match=f"rec.jsonl:3: {message}"):
+            load_jsonl(path)
+
+    def test_invalid_utf8_is_a_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "u.jsonl"
+        path.write_bytes(b'{"id": "a", "features": [1], "label": "x", "neighbors": []}\n'
+                         b'{"id": "\xff", "features": [1], "label": "x", "neighbors": []}\n')
+        with pytest.raises(ParseError, match="u.jsonl:2: byte 0xff is not valid UTF-8"):
             load_jsonl(path)
 
     def test_values_bit_equal_to_python_float(self, tmp_path):

@@ -344,17 +344,6 @@ class TestPartitionUnlabeled:
             partition_unlabeled(g, {0}, 0)
 
 
-def reference_generate_sbm(n_pos, n_neg, p_intra, p_inter, seed):
-    """The all-pairs draw that generate_sbm replaced, kept verbatim; graph only."""
-    n = n_pos + n_neg
-    rng = np.random.Generator(np.random.Philox(seed))
-    iu, ju = np.triu_indices(n, k=1)
-    same = (iu < n_pos) == (ju < n_pos)
-    p_edge = np.where(same, p_intra, p_inter)
-    keep = rng.random(iu.size) < p_edge
-    return build_graph(np.column_stack([iu[keep], ju[keep]]), n)
-
-
 class TestGenerateSbm:
     def test_degenerate_probabilities_give_cliques(self):
         g, labels = generate_sbm(50, 50, 1.0, 0.0, 0)
@@ -391,22 +380,76 @@ class TestGenerateSbm:
         assert not np.array_equal(g1.indices, g3.indices)
 
     @pytest.mark.parametrize("args", [
-        (50, 50, 1.0, 0.0, 0),      # p = 1 within blocks, p = 0 between
-        (30, 45, 0.0, 0.0, 3),      # no edges
-        (20, 25, 1.0, 1.0, 4),      # complete graph
-        (1, 1, 0.5, 0.5, 9),        # a single pair
+        (50, 50, 1.0, 0.0, 0),        # two cliques, no edge between them
         (60, 40, 0.08, 0.01, 42),
-        (37, 1463, 0.01, 0.003, 5),  # unequal blocks, 1.12M pairs: two chunks
-        (1000, 1000, 0.004, 0.004, 6),  # two chunks, p_inter = p_intra
+        (55, 45, 0.2, 0.05, 8),
+        (1000, 1000, 0.004, 0.004, 6),  # p_inter = p_intra
+        (37, 1463, 0.01, 0.003, 5),   # unequal blocks
     ])
-    def test_bit_equal_to_all_pairs_draw(self, args):
-        assert_bit_equal(generate_sbm(*args)[0], reference_generate_sbm(*args))
+    @pytest.mark.parametrize("chunk", [7, 97])
+    def test_bit_equal_whatever_the_batch_size(self, monkeypatch, args, chunk):
+        default = generate_sbm(*args)[0]
+        monkeypatch.setattr("pugraph.graph._PAIR_CHUNK", chunk)
+        assert_bit_equal(generate_sbm(*args)[0], default)
 
-    def test_bit_equal_with_chunks_that_split_rows(self, monkeypatch):
-        # 4,950 pairs in chunks of 97: boundaries fall mid-row, last chunk short
-        monkeypatch.setattr("pugraph.graph._PAIR_CHUNK", 97)
-        for args in ((55, 45, 0.2, 0.05, 8), (70, 30, 1.0, 0.0, 2)):
-            assert_bit_equal(generate_sbm(*args)[0], reference_generate_sbm(*args))
+    def test_p_intra_zero_gives_no_edges(self):
+        for seed in range(5):
+            g, _ = generate_sbm(30, 45, 0.0, 0.0, seed)
+            assert g.num_edges == 0
+
+    def test_p_one_gives_the_complete_graph(self):
+        n = 45
+        g, _ = generate_sbm(20, 25, 1.0, 1.0, 4)
+        assert_bit_equal(g, build_graph(np.column_stack(np.triu_indices(n, k=1)), n))
+
+    def test_one_pair_at_p_one_gives_its_edge(self):
+        g, labels = generate_sbm(1, 1, 1.0, 1.0, 0)
+        assert g.indptr.tolist() == [0, 1, 2]
+        assert g.indices.tolist() == [1, 0]
+        assert labels.tolist() == [1, 0]
+
+    @staticmethod
+    def pair_edges(n_pos, n_neg, p_intra, p_inter, seeds):
+        """(seeds, pairs) bool matrix: whether each upper-triangle pair, in
+        row-major pair-index order, is an edge of the graph of each seed."""
+        n = n_pos + n_neg
+        iu, ju = np.triu_indices(n, k=1)
+        hits = np.zeros((len(seeds), iu.size), dtype=bool)
+        for row, seed in enumerate(seeds):
+            g, _ = generate_sbm(n_pos, n_neg, p_intra, p_inter, seed)
+            src, dst = g.directed_edges()
+            adj = np.zeros((n, n), dtype=bool)
+            adj[src, dst] = True
+            hits[row] = adj[iu, ju]
+        return hits, iu, ju
+
+    def test_each_pair_is_an_edge_at_its_own_rate(self):
+        # 55 pairs over 4,000 seeds; a binomial count is within 4.5 sigma of
+        # its mean (a two-sided miss has probability 7e-6 per pair)
+        seeds = range(4000)
+        hits, iu, ju = self.pair_edges(6, 5, 0.3, 0.1, seeds)
+        assert (iu[0], ju[0]) == (0, 1) and (iu[-1], ju[-1]) == (9, 10)
+        p = np.where((iu < 6) == (ju < 6), 0.3, 0.1)
+        sigma = np.sqrt(len(seeds) * p * (1.0 - p))
+        z = (hits.sum(axis=0) - len(seeds) * p) / sigma
+        assert np.abs(z).max() <= 4.5
+
+    def test_consecutive_pairs_are_both_edges_at_rate_p_squared(self):
+        # a gap that is off by one would make pairs t and t + 1 both edges
+        # never, or at a rate other than p^2; the pairs (t, t + 1) with t even
+        # are disjoint, and so are those with t odd, so each count is binomial
+        p, seeds = 0.3, range(2000)
+        hits, _, _ = self.pair_edges(5, 5, p, p, seeds)
+        both = hits[:, :-1] & hits[:, 1:]
+        for start in (0, 1):
+            trials = both[:, start::2].size
+            sigma = np.sqrt(trials * p * p * (1.0 - p * p))
+            assert abs(both[:, start::2].sum() - trials * p * p) <= 4.5 * sigma
+
+    def test_pubmed_sized_memory(self):
+        # 19,717 nodes, 194M pairs, about 44k edges: only O(n + E) arrays
+        _, peak = traced_peak(generate_sbm, 9859, 9858, 8 / 19717, 1 / 19717, 11)
+        assert peak < 16 * 2**20
 
     def test_memory_is_linear_in_nodes_and_edges(self):
         # reference_generate_sbm allocates about 1 GB of all-pairs arrays here
