@@ -129,10 +129,10 @@ def _train_config(config: dict, seed: int | None = None) -> TrainConfig:
 def _setup_run(config: dict, args):
     """A run's manifest, label ratio, TrainConfig (resolved loss, run seed) and dataset."""
     manifest = _resolve_manifest(config, args.config)
-    try:
-        label_ratio = float(config.get("label_ratio", 0.01))
-    except (TypeError, ValueError):
-        raise ConfigError(f"label_ratio {config['label_ratio']!r} is not a number") from None
+    label_ratio = config.get("label_ratio", 0.01)
+    if type(label_ratio) not in (int, float) or not 0.0 < label_ratio <= 1.0:  # no bool
+        raise ConfigError(f"label_ratio must be a number in (0, 1], got {label_ratio!r}")
+    label_ratio = float(label_ratio)
     prepared = prepare_dataset(manifest)
     loss = resolve_loss(_section(config, "loss"), prepared)
     cfg = replace(_train_config(config, args.seed), loss=loss)
@@ -181,8 +181,7 @@ def cmd_train(args) -> int:
     try:
         params, records = train(dataset, cfg)
     except TrainingAbort as exc:
-        if exc.last_good is not None:
-            save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), exc.last_good)
+        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), exc.last_good)
         _write_train_log(out_dir, exc.records)
         raise
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), params)
@@ -265,10 +264,12 @@ def cmd_eval(args) -> int:
 
 def _ratios(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(r) for r in text.split(","))
+        ratios = tuple(float(r) for r in text.split(","))
+        if all(0.0 < r <= 1.0 for r in ratios):
+            return ratios
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated ratios in (0, 1], got {text!r}")
 
 
 def _positive_int(text: str) -> int:

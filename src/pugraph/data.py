@@ -255,11 +255,11 @@ def make_sbm_dataset(n_pos: int, n_neg: int, p_intra: float, p_inter: float,
     """
     graph, binary = generate_sbm(n_pos, n_neg, p_intra, p_inter, seed)
     rng = np.random.default_rng([seed, 1])
-    half = feature_dim // 2
-    rates = np.full((graph.num_nodes, feature_dim), _BACKGROUND)
-    rates[binary == 1, :half] = _SIGNAL
-    rates[binary == 0, half:] = _SIGNAL
-    features = (rng.random((graph.num_nodes, feature_dim)) < rates).astype(np.float64)
+    first_half = np.arange(feature_dim) < feature_dim // 2
+    features = rng.random((graph.num_nodes, feature_dim))
+    # each uniform becomes 1.0 below its rate, in place; the positive block comes first
+    np.less(features[:n_pos], np.where(first_half, _SIGNAL, _BACKGROUND), out=features[:n_pos])
+    np.less(features[n_pos:], np.where(first_half, _BACKGROUND, _SIGNAL), out=features[n_pos:])
     labels = ["pos" if b else "neg" for b in binary]
     return graph, features, labels
 

@@ -28,18 +28,19 @@ class NumericError(ArithmeticError):
 
 
 class TrainingAbort(RuntimeError):
-    """Training diverged; carries the parameters of the last good epoch and
-    the per-epoch records logged before the abort.
+    """Training diverged; carries the parameters of the last good epoch (a
+    dict of arrays, as pugraph.nn.init_params returns) and the per-epoch
+    records logged before the abort.
 
     Divergence is a forward pass that puts every score on the Y_EPS clip, or
     a non-finite loss or activation (see pugraph.train.TrainConfig).
     """
 
-    def __init__(self, message: str, epoch: int, last_good=None, records=None):
+    def __init__(self, message: str, epoch: int, last_good: dict, records: list):
         super().__init__(message)
         self.epoch = epoch
         self.last_good = last_good
-        self.records = list(records or [])
+        self.records = list(records)
 
 
 EXIT_CODES = {"config": 1, "data": 2, "numeric": 3}

@@ -120,28 +120,25 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
         raise InputError(f"num_nodes must be >= 1, got {num_nodes}")
     edges = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list),
                        dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        bad = (edges < 0) | (edges >= num_nodes)
-        if bad.any():
-            i, j = edges[bad.any(axis=1)][0]
-            raise InputError(f"edge ({i}, {j}) references a node id outside [0, {num_nodes})")
-        edges = edges[edges[:, 0] != edges[:, 1]]
-    if edges.size == 0:
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        return Graph(num_nodes, indptr, np.empty(0, dtype=np.int64))
+    bad = (edges < 0) | (edges >= num_nodes)
+    if bad.any():
+        i, j = edges[bad.any(axis=1)][0]
+        raise InputError(f"edge ({i}, {j}) references a node id outside [0, {num_nodes})")
+    edges = edges[edges[:, 0] != edges[:, 1]]
     # canonical undirected form, dedup, then both directions
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keys = np.unique(lo * num_nodes + hi)
     lo, hi = keys // num_nodes, keys % num_nodes
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph(num_nodes, indptr, dst)
+    return Graph(num_nodes, *_csr(np.concatenate([lo, hi]), np.concatenate([hi, lo]),
+                                  num_nodes))
+
+
+def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the int64 pairs (src, dst) over n nodes, each row's
+    columns ascending; one sort of the keys src * n + dst."""
+    keys = np.sort(src * n + dst)
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
 
 
 def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
@@ -153,12 +150,8 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     d = g.degrees.astype(np.float64) + 1.0
     nodes = np.arange(n, dtype=np.int64)
     src, dst = g.directed_edges()
-    src, dst = np.concatenate([src, nodes]), np.concatenate([dst, nodes])
-    order = np.lexsort((dst, src))
-    src, indices = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(g.degrees + 1, out=indptr[1:])
-    weights = 1.0 / np.sqrt(d[src] * d[indices])
+    indptr, indices = _csr(np.concatenate([src, nodes]), np.concatenate([dst, nodes]), n)
+    weights = 1.0 / np.sqrt(np.repeat(d, g.degrees + 1) * d[indices])  # d[row] * d[col]
     return NormalizedAdjacency(n, indptr, indices, weights)
 
 

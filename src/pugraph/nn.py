@@ -5,6 +5,9 @@ Forward:
     Z  = A_hat @ H1 @ W2 + b2             (num_nodes x 16, fed to the regularizer)
     y  = sigmoid(Z @ w_head + b_head)     (per-node score in (0, 1))
 
+The parameters are a plain dict of float64 arrays (b_head is 0-d); gcn_backward
+returns a new dict of gradients and writes into no parameter.
+
 All math is float64. The ReLU subgradient at 0 is taken as 0, and sigmoid
 outputs are clipped to (Y_EPS, 1 - Y_EPS) so downstream logs stay finite.
 
@@ -31,26 +34,7 @@ Y_EPS = 1e-12
 WEIGHT_NAMES = ("W1", "W2", "w_head")  # weight decay applies to these only
 
 
-class ParamStore:
-    """Named dense parameters with paired gradient buffers."""
-
-    def __init__(self, values: dict[str, np.ndarray]):
-        self.values = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
-        self.grads = {k: np.zeros_like(v) for k, v in self.values.items()}
-
-    def zero_grad(self):
-        for g in self.grads.values():
-            g[...] = 0.0
-
-    def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self.values.items()})
-
-    @property
-    def feature_dim(self) -> int:
-        return self.values["W1"].shape[0]
-
-
-def init_params(feature_dim: int, seed: int) -> ParamStore:
+def init_params(feature_dim: int, seed: int) -> dict[str, np.ndarray]:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     if feature_dim < 1:
         raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
@@ -60,14 +44,14 @@ def init_params(feature_dim: int, seed: int) -> ParamStore:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=shape)
 
-    return ParamStore({
+    return {
         "W1": glorot(feature_dim, HIDDEN_DIM, (feature_dim, HIDDEN_DIM)),
         "W2": glorot(HIDDEN_DIM, HIDDEN_DIM, (HIDDEN_DIM, HIDDEN_DIM)),
         "b1": np.zeros(HIDDEN_DIM),
         "b2": np.zeros(HIDDEN_DIM),
         "w_head": glorot(HIDDEN_DIM, 1, (HIDDEN_DIM,)),
         "b_head": np.zeros(()),
-    })
+    }
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -110,28 +94,26 @@ def _check_finite(arr: np.ndarray, layer: str):
 
 
 def forward_from_propagated(adj: NormalizedAdjacency, ax: np.ndarray,
-                            params: ParamStore) -> ForwardCache:
+                            params: dict) -> ForwardCache:
     """Forward pass given the precomputed A_hat @ X (constant across steps)."""
-    if ax.shape[1] != params.feature_dim:
-        raise ConfigError(
-            f"features have {ax.shape[1]} columns, W1 expects {params.feature_dim}"
-        )
-    v = params.values
+    w1 = params["W1"]
+    if ax.shape[1] != w1.shape[0]:
+        raise ConfigError(f"features have {ax.shape[1]} columns, W1 expects {w1.shape[0]}")
     # ax @ W1 transposed: OpenBLAS runs (16 x f)(f x n) faster than (n x f)(f x 16);
     # the bias add writes a C-ordered pre1, so h1's rows stay contiguous for matmul
-    pre1 = np.add((v["W1"].T @ ax.T).T, v["b1"], out=np.empty((ax.shape[0], HIDDEN_DIM)))
+    pre1 = np.add((w1.T @ ax.T).T, params["b1"], out=np.empty((ax.shape[0], HIDDEN_DIM)))
     _check_finite(pre1, "layer1")
     h1 = np.maximum(pre1, 0.0)
     ah1 = adj.matmul(h1)
-    z = ah1 @ v["W2"] + v["b2"]
+    z = ah1 @ params["W2"] + params["b2"]
     _check_finite(z, "layer2")
-    score = z @ v["w_head"] + v["b_head"]
+    score = z @ params["w_head"] + params["b_head"]
     y_hat = np.clip(sigmoid(score), Y_EPS, 1.0 - Y_EPS)
     return ForwardCache(h1=h1, z=z, y_hat=y_hat, ax=ax, ah1=ah1, adj=adj)
 
 
 def gcn_forward(adj: NormalizedAdjacency, features: np.ndarray,
-                params: ParamStore) -> ForwardCache:
+                params: dict) -> ForwardCache:
     """Full forward pass of the two-layer GCN with sigmoid head."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != adj.num_nodes:
@@ -142,41 +124,39 @@ def gcn_forward(adj: NormalizedAdjacency, features: np.ndarray,
 
 
 def gcn_backward(cache: ForwardCache, d_yhat: np.ndarray, d_z: np.ndarray,
-                 params: ParamStore):
-    """Accumulate exact gradients of the composed forward into params.grads.
+                 params: dict) -> dict[str, np.ndarray]:
+    """Exact gradients of the composed forward, one new array per parameter.
 
     Combines two upstream paths: d_yhat through the head and d_z directly
     into the layer-2 representation.
     """
-    v, g = params.values, params.grads
     n = cache.y_hat.shape[0]
     if d_yhat.shape != (n,) or d_z.shape != cache.z.shape:
         raise ConfigError("upstream gradient shapes do not match the forward cache")
     s = cache.y_hat
     d_score = d_yhat * s * (1.0 - s)
-    g["w_head"] += cache.z.T @ d_score
-    g["b_head"] += d_score.sum()
-    dz = d_z + np.outer(d_score, v["w_head"])
-    g["W2"] += cache.ah1.T @ dz
-    g["b2"] += dz.sum(axis=0)
-    dh1 = cache.adj.matmul(dz @ v["W2"].T)  # A_hat is symmetric
+    dz = d_z + np.outer(d_score, params["w_head"])
+    dh1 = cache.adj.matmul(dz @ params["W2"].T)  # A_hat is symmetric
     dpre1 = np.where(cache.h1 > 0.0, dh1, 0.0)
-    g["W1"] += (dpre1.T @ cache.ax).T  # ax.T @ dpre1, in OpenBLAS's faster orientation
-    g["b1"] += dpre1.sum(axis=0)
+    # W1's gradient is ax.T @ dpre1, in OpenBLAS's faster orientation; made
+    # C-ordered like W1, so that sums over it run in the same order
+    return {"W1": np.ascontiguousarray((dpre1.T @ cache.ax).T), "W2": cache.ah1.T @ dz,
+            "b1": dpre1.sum(axis=0), "b2": dz.sum(axis=0), "w_head": cache.z.T @ d_score,
+            "b_head": np.asarray(d_score.sum())}
 
 
 # --- checkpoint format: one JSON header line, then raw little-endian float64 ---
 
-def save_checkpoint(path, params: ParamStore):
+def save_checkpoint(path, params: dict):
     arrays = []
     offset = 0
     payload = []
-    for name in sorted(params.values):
+    for name in sorted(params):
         # ascontiguousarray promotes 0-d to 1-d, so record the original shape
-        arr = np.ascontiguousarray(params.values[name], dtype="<f8")
+        arr = np.ascontiguousarray(params[name], dtype="<f8")
         arrays.append({
             "name": name,
-            "shape": list(params.values[name].shape),
+            "shape": list(params[name].shape),
             "offset": offset,
             "nbytes": arr.nbytes,
         })
@@ -191,7 +171,7 @@ def save_checkpoint(path, params: ParamStore):
         fh.write(b"".join(payload))
 
 
-def load_checkpoint(path) -> ParamStore:
+def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint written by save_checkpoint.
 
     Raises InputError unless the file holds the model's parameters and
@@ -232,4 +212,4 @@ def load_checkpoint(path) -> ParamStore:
         end += size
     if end != len(blob):
         raise InputError(f"{path}: the payload has {len(blob)} bytes, the parameters {end}")
-    return ParamStore(values)
+    return values

@@ -15,8 +15,7 @@ import numpy as np
 from .errors import ConfigError, InputError, NumericError, TrainingAbort
 from .graph import Graph, NormalizedAdjacency, normalize_adjacency
 from .losses import LossConfig, check_types, combined_objective
-from .nn import (WEIGHT_NAMES, Y_EPS, ParamStore, forward_from_propagated,
-                 gcn_backward, init_params)
+from .nn import WEIGHT_NAMES, Y_EPS, forward_from_propagated, gcn_backward, init_params
 
 log = logging.getLogger(__name__)
 
@@ -160,23 +159,24 @@ class Adam:
         self._m: dict = {}
         self._v: dict = {}
 
-    def step(self, params: ParamStore):
-        if not self._m:
-            self._m = {k: np.zeros_like(p) for k, p in params.values.items()}
-            self._v = {k: np.zeros_like(p) for k, p in params.values.items()}
+    def step(self, params: dict, grads: dict) -> dict[str, np.ndarray]:
+        """The next parameters, as new arrays; params and grads are not written."""
         self.t += 1
         b1, b2 = _BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         m, v = self._m, self._v
-        for name, p in params.values.items():
-            g = params.grads[name]
-            m[name] = b1 * m[name] + (1.0 - b1) * g
-            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        stepped = {}
+        for name, p in params.items():
+            g = grads[name]
+            m[name] = b1 * m.get(name, 0.0) + (1.0 - b1) * g  # both moments start at 0
+            v[name] = b2 * v.get(name, 0.0) + (1.0 - b2) * g * g
             update = (m[name] / c1) / (np.sqrt(v[name] / c2) + _EPS)
             if self.weight_decay > 0.0 and name in WEIGHT_NAMES:
                 update = update + self.weight_decay * p
-            p -= self.learning_rate * update
+            # asarray: on the 0-d b_head, p - x is a numpy scalar, not an array
+            stepped[name] = np.asarray(p - self.learning_rate * update)
+        return stepped
 
 
 def propagate(dataset) -> tuple[NormalizedAdjacency, np.ndarray]:
@@ -189,7 +189,7 @@ def propagate(dataset) -> tuple[NormalizedAdjacency, np.ndarray]:
     return prepared.propagation
 
 
-def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
+def train(dataset, config: TrainConfig) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Run the full training loop; returns final parameters and per-epoch log.
 
     Each log record holds the epoch's loss and its parts, the gradient norm,
@@ -220,7 +220,7 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
     sampler = NegativeSampler(dataset.graph, config.seed)
     opt = Adam(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
     records: list[dict] = []
-    last_good = params.copy()
+    last_good = params
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         drawn = dict(sampler.counts)
@@ -232,24 +232,21 @@ def train(dataset, config: TrainConfig) -> tuple[ParamStore, list[dict]]:
                 cache.y_hat, cache.z, dataset.partition, dataset.graph,
                 config.loss, sampler, stats=stats)
             t_objective = time.perf_counter()
+            if not np.isfinite(value.total):
+                raise NumericError(f"non-finite loss {value.total}")
         except NumericError as exc:
             raise TrainingAbort(f"{exc} at epoch {epoch}", epoch, last_good, records)
-        if not np.isfinite(value.total):
-            raise TrainingAbort(
-                f"non-finite loss {value.total} at epoch {epoch}", epoch, last_good,
-                records)
         clipped = (cache.y_hat <= Y_EPS) | (cache.y_hat >= 1.0 - Y_EPS)
         if clipped.all():
             raise TrainingAbort(
                 f"diverged at epoch {epoch}: every score sits on the Y_EPS clip",
                 epoch, last_good, records)
-        last_good = params.copy()
-        params.zero_grad()
+        last_good = params
         t_backward = time.perf_counter()
-        gcn_backward(cache, grad_y, grad_z, params)
-        gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in params.grads.values())))
+        grads = gcn_backward(cache, grad_y, grad_z, params)
+        gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         t_adam = time.perf_counter()
-        opt.step(params)
+        params = opt.step(params, grads)
         t_end = time.perf_counter()
         records.append({
             "epoch": epoch,

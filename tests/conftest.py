@@ -76,7 +76,7 @@ def floyd_warshall(g: Graph) -> np.ndarray:
 def numeric_grad_params(objective, params, eps: float = 1e-5) -> dict:
     """Central finite differences of a scalar objective over every parameter."""
     grads = {}
-    for name, arr in params.values.items():
+    for name, arr in params.items():
         flat = arr.reshape(-1)
         g = np.zeros(flat.size)
         for i in range(flat.size):

@@ -49,7 +49,7 @@ class TestTrainCommand:
         assert code == 3
         assert "pugraph-error kind=numeric" in capsys.readouterr().err
         params = load_checkpoint(out_dir / "checkpoint.bin")
-        assert all(np.isfinite(v).all() for v in params.values.values())
+        assert all(np.isfinite(v).all() for v in params.values())
         assert not (out_dir / "result.json").exists()
 
     def test_divergence_writes_the_log_of_the_epochs_before_the_abort(self, tmp_path, capsys):
@@ -116,7 +116,7 @@ class TestTrainCommand:
 
         def one_class(dataset, config):
             params, records = original(dataset, config)
-            params.values["b_head"][...] = b_head  # every score on one side of 0.5
+            params["b_head"][...] = b_head  # every score on one side of 0.5
             return params, records
 
         monkeypatch.setattr(cli, "train", one_class)
@@ -161,7 +161,9 @@ class TestTrainCommand:
         "train.epochs=abc", "dataset.n_pos=abc", "dataset.train_fraction=abc",
         "dataset.split_seed=abc", "dataset.positive_classes=5",
         'dataset.positive_classes="pos"', "loss.alpha=NaN", "loss.alpha=Infinity",
-        "train.learning_rate=NaN", "train.weight_decay=NaN"])
+        "train.learning_rate=NaN", "train.weight_decay=NaN", "label_ratio=true",
+        'label_ratio="0.1"', "label_ratio=2", "label_ratio=0", "label_ratio=-0.5",
+        "label_ratio=NaN"])
     def test_a_bad_config_value_exits_1(self, tmp_path, capsys, override):
         code = main(["train", "--config", str(write_config(tmp_path)),
                      "--override", override, "--out", str(tmp_path / "run")])
@@ -324,7 +326,8 @@ class TestSweepLossSection:
                   str(tmp_path / "sweep"), "--seeds", "1", "--ratios", "0.02", flag, "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("ratios", ["abc", "0.02,abc", ""])
+    @pytest.mark.parametrize("ratios", ["abc", "0.02,abc", "", "5", "0", "-1", "0.02,1.5",
+                                        "nan"])
     def test_ratios_that_are_not_numbers_are_a_usage_error(self, tmp_path, ratios):
         out = tmp_path / "sweep"
         with pytest.raises(SystemExit) as exc:

@@ -414,6 +414,20 @@ class TestSbmDataset:
         assert features[pos, :half].mean() > features[pos, half:].mean() + 0.2
         assert features[~pos, half:].mean() > features[~pos, :half].mean() + 0.2
 
+    @pytest.mark.parametrize("feature_dim", [1, 7, 8])
+    def test_features_bit_equal_to_a_rates_array_draw(self, feature_dim):
+        # the oracle: one rate per node and feature, compared with the same uniforms
+        graph, features, _ = make_sbm_dataset(13, 9, 0.3, 0.1, 4, feature_dim)
+        _, binary = generate_sbm(13, 9, 0.3, 0.1, 4)
+        half = feature_dim // 2
+        rates = np.full((graph.num_nodes, feature_dim), 0.2)
+        rates[binary == 1, :half] = 0.65
+        rates[binary == 0, half:] = 0.65
+        uniforms = np.random.default_rng([4, 1]).random((graph.num_nodes, feature_dim))
+        expected = (uniforms < rates).astype(np.float64)
+        assert features.dtype == np.float64 and features.flags.c_contiguous
+        assert features.tobytes() == expected.tobytes()
+
 
 class TestBuildDataset:
     def test_sbm_manifest_end_to_end(self):

@@ -5,9 +5,9 @@ import pytest
 
 from pugraph.errors import ConfigError, InputError
 from pugraph.graph import build_graph, normalize_adjacency
-from pugraph.nn import (HIDDEN_DIM, ParamStore, forward_from_propagated,
-                        gcn_backward, gcn_forward, init_params,
-                        load_checkpoint, save_checkpoint, sigmoid)
+from pugraph.nn import (HIDDEN_DIM, forward_from_propagated, gcn_backward,
+                        gcn_forward, init_params, load_checkpoint, save_checkpoint,
+                        sigmoid)
 
 from conftest import (assert_grad_close, numeric_grad_params,
                       pairwise_similarity, random_graph)
@@ -15,7 +15,7 @@ from conftest import (assert_grad_close, numeric_grad_params,
 
 def zero_params(feature_dim):
     p = init_params(feature_dim, 0)
-    for arr in p.values.values():
+    for arr in p.values():
         arr[...] = 0.0
     return p
 
@@ -23,20 +23,20 @@ def zero_params(feature_dim):
 class TestInitParams:
     def test_deterministic(self):
         a, b = init_params(9, 3), init_params(9, 3)
-        for name in a.values:
-            assert np.array_equal(a.values[name], b.values[name])
+        for name in a:
+            assert np.array_equal(a[name], b[name])
 
     def test_different_seeds_differ(self):
         a, b = init_params(9, 3), init_params(9, 4)
-        assert not np.array_equal(a.values["W1"], b.values["W1"])
+        assert not np.array_equal(a["W1"], b["W1"])
 
     def test_glorot_bounds_and_zero_biases(self):
         p = init_params(25, 0)
-        assert np.abs(p.values["W1"]).max() <= np.sqrt(6.0 / (25 + HIDDEN_DIM))
-        assert np.abs(p.values["W2"]).max() <= np.sqrt(6.0 / (2 * HIDDEN_DIM))
-        assert np.abs(p.values["w_head"]).max() <= np.sqrt(6.0 / (HIDDEN_DIM + 1))
+        assert np.abs(p["W1"]).max() <= np.sqrt(6.0 / (25 + HIDDEN_DIM))
+        assert np.abs(p["W2"]).max() <= np.sqrt(6.0 / (2 * HIDDEN_DIM))
+        assert np.abs(p["w_head"]).max() <= np.sqrt(6.0 / (HIDDEN_DIM + 1))
         for name in ("b1", "b2", "b_head"):
-            assert not p.values[name].any()
+            assert not p[name].any()
 
 
 class TestForward:
@@ -51,9 +51,9 @@ class TestForward:
         # X=[1], W1 = e1 row, W2 = I, w_head = e1 -> y = sigmoid(ReLU(1))
         adj = normalize_adjacency(build_graph([], 1))
         p = zero_params(1)
-        p.values["W1"][0, 0] = 1.0
-        p.values["W2"][...] = np.eye(HIDDEN_DIM)
-        p.values["w_head"][0] = 1.0
+        p["W1"][0, 0] = 1.0
+        p["W2"][...] = np.eye(HIDDEN_DIM)
+        p["w_head"][0] = 1.0
         cache = gcn_forward(adj, np.array([[1.0]]), p)
         assert cache.y_hat[0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-12)
         assert cache.y_hat[0] == pytest.approx(0.7310585786, abs=1e-9)
@@ -86,9 +86,9 @@ class TestForward:
     def test_scores_strictly_inside_unit_interval(self):
         adj = normalize_adjacency(build_graph([], 2))
         p = zero_params(1)
-        p.values["W1"][0, 0] = 1.0
-        p.values["w_head"][...] = 1e6  # saturate the head
-        p.values["W2"][...] = np.eye(HIDDEN_DIM) * 1e3
+        p["W1"][0, 0] = 1.0
+        p["w_head"][...] = 1e6  # saturate the head
+        p["W2"][...] = np.eye(HIDDEN_DIM) * 1e3
         y = gcn_forward(adj, np.array([[1.0], [-1.0]]), p).y_hat
         assert (y > 0.0).all() and (y < 1.0).all()
 
@@ -111,13 +111,13 @@ class TestFirstLayerProducts:
         adj = normalize_adjacency(random_graph(rng, n, 0.02))
         ax = adj.matmul(rng.random((n, f)))
         params = init_params(f, 2)
-        params.values["b1"][...] = rng.normal(size=HIDDEN_DIM) * 0.1
+        params["b1"][...] = rng.normal(size=HIDDEN_DIM) * 0.1
         return rng, adj, ax, params
 
     def test_pre_activation_matches_the_plain_product(self):
         _, adj, ax, params = self._case()
         cache = forward_from_propagated(adj, ax, params)
-        pre1 = ax @ params.values["W1"] + params.values["b1"]
+        pre1 = ax @ params["W1"] + params["b1"]
         assert (pre1 > 0).any() and (pre1 < 0).any()
         np.testing.assert_allclose(cache.h1, np.maximum(pre1, 0.0), rtol=1e-13, atol=0)
         assert cache.h1.flags.c_contiguous and cache.z.flags.c_contiguous
@@ -126,12 +126,11 @@ class TestFirstLayerProducts:
         rng, adj, ax, params = self._case()
         cache = forward_from_propagated(adj, ax, params)
         d_yhat, d_z = rng.normal(size=ax.shape[0]), rng.normal(size=cache.z.shape)
-        params.zero_grad()
-        gcn_backward(cache, d_yhat, d_z, params)
-        v, s = params.values, cache.y_hat
+        grads = gcn_backward(cache, d_yhat, d_z, params)
+        v, s = params, cache.y_hat
         dz = d_z + np.outer(d_yhat * s * (1.0 - s), v["w_head"])
         dpre1 = np.where(cache.h1 > 0.0, adj.matmul(dz @ v["W2"].T), 0.0)
-        np.testing.assert_allclose(params.grads["W1"], ax.T @ dpre1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(grads["W1"], ax.T @ dpre1, rtol=1e-13, atol=0)
 
 
 class TestBackward:
@@ -142,9 +141,8 @@ class TestBackward:
         x = rng.normal(size=(6, 3))
         params = init_params(3, 1)
         cache = gcn_forward(adj, x, params)
-        params.zero_grad()
-        gcn_backward(cache, np.zeros(6), np.zeros_like(cache.z), params)
-        for grad in params.grads.values():
+        grads = gcn_backward(cache, np.zeros(6), np.zeros_like(cache.z), params)
+        for grad in grads.values():
             assert not grad.any()
 
     def test_matches_finite_differences(self):
@@ -162,11 +160,10 @@ class TestBackward:
             return float(a @ c.y_hat + np.sum(b * c.z))
 
         cache = gcn_forward(adj, x, params)
-        params.zero_grad()
-        gcn_backward(cache, a, b, params)
+        grads = gcn_backward(cache, a, b, params)
         numeric = numeric_grad_params(objective, params)
-        for name in params.values:
-            assert_grad_close(params.grads[name], numeric[name], label=name)
+        for name in params:
+            assert_grad_close(grads[name], numeric[name], label=name)
 
     def test_relu_gate_blocks_layer1_gradient(self):
         rng = np.random.default_rng(5)
@@ -174,13 +171,13 @@ class TestBackward:
         adj = normalize_adjacency(g)
         x = np.abs(rng.normal(size=(5, 3)))
         params = init_params(3, 6)
-        params.values["W1"][...] = -np.abs(params.values["W1"])  # all pre-ReLU <= 0
+        params["W1"][...] = -np.abs(params["W1"])  # all pre-ReLU <= 0
         cache = gcn_forward(adj, x, params)
         assert not cache.h1.any()
-        params.zero_grad()
-        gcn_backward(cache, rng.normal(size=5), rng.normal(size=(5, HIDDEN_DIM)), params)
-        assert not params.grads["W1"].any()
-        assert not params.grads["b1"].any()
+        grads = gcn_backward(cache, rng.normal(size=5), rng.normal(size=(5, HIDDEN_DIM)),
+                             params)
+        assert not grads["W1"].any()
+        assert not grads["b1"].any()
 
 
 class TestPairwiseSimilarity:
@@ -231,16 +228,16 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, params)
         restored = load_checkpoint(path)
-        assert sorted(restored.values) == sorted(params.values)
-        for name in params.values:
-            assert np.array_equal(restored.values[name], params.values[name])
-            assert restored.values[name].shape == params.values[name].shape
+        assert sorted(restored) == sorted(params)
+        for name in params:
+            assert np.array_equal(restored[name], params[name])
+            assert restored[name].shape == params[name].shape
 
     def test_byte_deterministic(self, tmp_path):
         params = init_params(7, 8)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(p1, params)
-        save_checkpoint(p2, params.copy())
+        save_checkpoint(p2, {k: v.copy() for k, v in params.items()})
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_a_checkpoint_that_does_not_fit_the_model(self, tmp_path):

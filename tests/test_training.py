@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pugraph import train as train_module
 from pugraph.data import build_dataset
-from pugraph.errors import ConfigError, InputError, TrainingAbort
+from pugraph.errors import ConfigError, InputError, NumericError, TrainingAbort
 from pugraph.graph import build_graph, normalize_adjacency
 from pugraph.losses import LossConfig, distpu_loss
 from pugraph.nn import (Y_EPS, forward_from_propagated, gcn_backward,
@@ -16,24 +17,27 @@ from pugraph.train import Adam, NegativeSampler, TrainConfig, train
 from conftest import random_graph, save_jsonl, small_manifest, traced_peak
 
 
+def zero_grads(params):
+    return {k: np.zeros_like(v) for k, v in params.items()}
+
+
 class TestAdam:
     def test_zero_gradients_fixed_point(self):
         params = init_params(5, 0)
-        before = {k: v.copy() for k, v in params.values.items()}
+        before = {k: v.copy() for k, v in params.items()}
         opt = Adam(learning_rate=0.1, weight_decay=0.0)
         for _ in range(3):
-            params.zero_grad()
-            opt.step(params)
-        for name in params.values:
-            assert np.array_equal(params.values[name], before[name])
+            params = opt.step(params, zero_grads(params))
+        for name in params:
+            assert np.array_equal(params[name], before[name])
 
     def test_first_step_magnitude_is_learning_rate(self):
         params = init_params(5, 0)
-        w0 = params.values["W1"].copy()
-        params.zero_grad()
-        params.grads["W1"][...] = 3.7  # constant gradient
-        Adam(learning_rate=0.01).step(params)
-        delta = np.abs(params.values["W1"] - w0)
+        w0 = params["W1"].copy()
+        grads = zero_grads(params)
+        grads["W1"][...] = 3.7  # constant gradient
+        params = Adam(learning_rate=0.01).step(params, grads)
+        delta = np.abs(params["W1"] - w0)
         assert np.allclose(delta, 0.01, atol=1e-6)
 
     def test_opposite_gradients_damp_second_step(self):
@@ -47,33 +51,52 @@ class TestAdam:
         assert abs(step2) < abs(step1)
 
         params = init_params(5, 0)
-        w0 = params.values["W1"][0, 0]
+        w0 = params["W1"][0, 0]
         opt = Adam(learning_rate=lr)
-        params.zero_grad()
-        params.grads["W1"][0, 0] = g
-        opt.step(params)
-        w1 = params.values["W1"][0, 0]
-        params.zero_grad()
-        params.grads["W1"][0, 0] = -g
-        opt.step(params)
-        w2 = params.values["W1"][0, 0]
+        grads = zero_grads(params)
+        grads["W1"][0, 0] = g
+        params = opt.step(params, grads)
+        w1 = params["W1"][0, 0]
+        grads = zero_grads(params)
+        grads["W1"][0, 0] = -g
+        params = opt.step(params, grads)
+        w2 = params["W1"][0, 0]
         assert w1 - w0 == pytest.approx(-step1, abs=1e-12)
         assert w2 - w1 == pytest.approx(-step2, abs=1e-12)
 
     def test_weight_decay_skips_biases(self):
         params = init_params(5, 0)
-        params.values["b1"][...] = 1.0
-        params.values["b_head"][...] = 2.0
-        params.zero_grad()
-        Adam(learning_rate=0.1, weight_decay=0.5).step(params)
-        assert (params.values["b1"] == 1.0).all()
-        assert params.values["b_head"] == 2.0
+        params["b1"][...] = 1.0
+        params["b_head"][...] = 2.0
+        params = Adam(learning_rate=0.1, weight_decay=0.5).step(params, zero_grads(params))
+        assert (params["b1"] == 1.0).all()
+        assert params["b_head"] == 2.0
         # weights decay even with zero gradient
         params2 = init_params(5, 0)
-        w0 = params2.values["W1"].copy()
-        params2.zero_grad()
-        Adam(learning_rate=0.1, weight_decay=0.5).step(params2)
-        assert np.allclose(params2.values["W1"], w0 * (1.0 - 0.1 * 0.5), atol=1e-12)
+        w0 = params2["W1"].copy()
+        params2 = Adam(learning_rate=0.1, weight_decay=0.5).step(params2, zero_grads(params2))
+        assert np.allclose(params2["W1"], w0 * (1.0 - 0.1 * 0.5), atol=1e-12)
+
+    def test_step_returns_new_arrays_and_writes_no_input(self):
+        rng = np.random.default_rng(7)
+        params = init_params(5, 0)
+        opt = Adam(learning_rate=0.1, weight_decay=0.5)
+        for _ in range(3):  # the later steps start from stepped parameters
+            grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+            saved = [{k: v.tobytes() for k, v in d.items()} for d in (params, grads)]
+            stepped = opt.step(params, grads)
+            assert [{k: v.tobytes() for k, v in d.items()} for d in (params, grads)] == saved
+            assert list(stepped) == list(params)
+            for name, new in stepped.items():
+                assert type(new) is np.ndarray and new.dtype == np.float64
+                assert new.shape == params[name].shape
+                assert not np.shares_memory(new, params[name])
+                assert not np.shares_memory(new, grads[name])
+                assert not np.array_equal(new, params[name])
+            params = stepped
+        assert params["b_head"].shape == ()
+        params["b_head"].reshape(-1)[0] = 1.5  # a 0-d array, so a view writes through
+        assert params["b_head"] == 1.5
 
 
 class ReferenceRejectionSampler:
@@ -277,8 +300,8 @@ class TestTrain:
                           loss=LossConfig(kind="distance_aware", delta=2, k=5))
         params1, log1 = train(ds, cfg)
         params2, log2 = train(ds, cfg)
-        for name in params1.values:
-            assert np.array_equal(params1.values[name], params2.values[name])
+        for name in params1:
+            assert np.array_equal(params1[name], params2[name])
         wall = ("wall_time_ms", "phase_ms")
         strip = [{k: v for k, v in rec.items() if k not in wall} for rec in log1]
         strip2 = [{k: v for k, v in rec.items() if k not in wall} for rec in log2]
@@ -289,7 +312,7 @@ class TestTrain:
         loss = LossConfig(kind="distance_aware", delta=2, k=5)
         p1, _ = train(ds, TrainConfig(epochs=10, seed=0, loss=loss))
         p2, _ = train(ds, TrainConfig(epochs=10, seed=1, loss=loss))
-        assert not np.array_equal(p1.values["W1"], p2.values["W1"])
+        assert not np.array_equal(p1["W1"], p2["W1"])
 
     def test_labeled_score_driven_to_one(self):
         manifest = small_manifest(n_pos=20, n_neg=20, p_intra=0.3, p_inter=0.05,
@@ -324,8 +347,32 @@ class TestTrain:
         with pytest.raises(TrainingAbort) as info:
             train(ds, cfg)
         assert info.value.last_good is not None
-        assert all(np.isfinite(v).all() for v in info.value.last_good.values.values())
+        assert all(np.isfinite(v).all() for v in info.value.last_good.values())
         save_checkpoint(tmp_path / "abort.bin", info.value.last_good)
+
+    def test_an_abort_carries_the_parameters_of_the_last_good_epoch(self, monkeypatch):
+        ds = build_dataset(small_manifest(), 0.02, 0, 2)
+        cfg = TrainConfig(epochs=10, seed=3,
+                          loss=LossConfig(kind="distance_aware", delta=2, k=5))
+        after_three, _ = train(ds, replace(cfg, epochs=3))
+        objective, calls = train_module.combined_objective, []
+
+        def fails_at_epoch_5(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise NumericError("injected")
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "combined_objective", fails_at_epoch_5)
+        with pytest.raises(TrainingAbort, match="injected at epoch 5") as info:
+            train(ds, cfg)
+        # epoch 5's forward pass ran on the parameters after four steps; the last
+        # good ones are epoch 4's, the parameters after three steps
+        last_good = info.value.last_good
+        assert sorted(last_good) == sorted(after_three)
+        for name, arr in after_three.items():
+            assert last_good[name].tobytes() == arr.tobytes()
+        assert [r["epoch"] for r in info.value.records] == [1, 2, 3, 4]
 
     def test_partly_clipped_run_is_not_divergence(self):
         # divergence means every score on the clip; this run ends with some,
@@ -355,11 +402,10 @@ class TestTrain:
         for _ in range(20):
             cache = forward_from_propagated(adj, ax, ref)
             _, grad_y = distpu_loss(cache.y_hat, ds.labeled_mask, pi)
-            ref.zero_grad()
-            gcn_backward(cache, grad_y, np.zeros_like(cache.z), ref)
-            opt.step(ref)
-        for name in params.values:
-            assert np.array_equal(params.values[name], ref.values[name])
+            grads = gcn_backward(cache, grad_y, np.zeros_like(cache.z), ref)
+            ref = opt.step(ref, grads)
+        for name in params:
+            assert np.array_equal(params[name], ref[name])
 
     def test_log_records_clip_positive_and_sampler_counts(self):
         ds = build_dataset(small_manifest(), 0.02, 0, 2)
