@@ -16,6 +16,7 @@ generated in memory from the manifest's parameters).
 A loss key takes a sweep method's pin, else a sweep cell's knob, else the
 ``loss`` section, else the LossConfig default; ``"pi_p": "auto"`` (or none)
 is the true positive rate, an oracle read from the true labels.
+Every command checks the document alike; ``train.seed`` is a run's seed.
 Exit codes: 0 success, 1 configuration error, 2 data error (or a command
 line argparse rejects), 3 numeric abort.
 """
@@ -27,14 +28,14 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .data import build_dataset, prepare_dataset
+from .data import prepare_dataset
 from .errors import EXIT_CODES, ConfigError, TrainingAbort, error_kind
-from .evaluate import (SWEEPS, aggregate, resolve_loss, run_sweep, score,
+from .evaluate import (SWEEPS, aggregate, build_run, run_sweep, score,
                        write_results_csv)
 from .nn import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train
@@ -116,27 +117,23 @@ def _resolve_manifest(config: dict, config_path: str) -> dict:
     return manifest
 
 
-def _train_config(config: dict, seed: int | None = None) -> TrainConfig:
-    section = _section(config, "train")
-    if seed is not None:
-        section["seed"] = seed
-    try:
-        return TrainConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad 'train' section: {exc}") from None
-
-
-def _setup_run(config: dict, args):
-    """A run's manifest, label ratio, TrainConfig (resolved loss, run seed) and dataset."""
-    manifest = _resolve_manifest(config, args.config)
+def _read_config(config: dict, config_path: str):
+    """A config document's manifest, label ratio, loss section and TrainConfig, checked."""
+    manifest = _resolve_manifest(config, config_path)
     label_ratio = config.get("label_ratio", 0.01)
     if type(label_ratio) not in (int, float) or not 0.0 < label_ratio <= 1.0:  # no bool
         raise ConfigError(f"label_ratio must be a number in (0, 1], got {label_ratio!r}")
-    label_ratio = float(label_ratio)
-    prepared = prepare_dataset(manifest)
-    loss = resolve_loss(_section(config, "loss"), prepared)
-    cfg = replace(_train_config(config, args.seed), loss=loss)
-    dataset = build_dataset(prepared, label_ratio, cfg.seed, loss.delta)
+    try:
+        train_config = TrainConfig(**_section(config, "train"))
+    except TypeError as exc:
+        raise ConfigError(f"bad 'train' section: {exc}") from None
+    return manifest, float(label_ratio), _section(config, "loss"), train_config
+
+
+def _setup_run(config: dict, config_path: str):
+    """A run's manifest, label ratio, TrainConfig (resolved loss, run seed) and dataset."""
+    manifest, label_ratio, loss, base = _read_config(config, config_path)
+    dataset, cfg = build_run(prepare_dataset(manifest), loss, base, label_ratio, base.seed)
     return manifest, label_ratio, cfg, dataset
 
 
@@ -174,7 +171,7 @@ def _thread_note() -> dict:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, args.override)
-    manifest, label_ratio, cfg, dataset = _setup_run(config, args)
+    manifest, label_ratio, cfg, dataset = _setup_run(config, args.config)
     out_dir = args.out or "run_out"
     _write_run_manifest(out_dir, args.config, config)
     t0 = time.perf_counter()
@@ -206,11 +203,11 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config, args.override)
-    manifest = _resolve_manifest(config, args.config)
+    manifest, _, loss, train_config = _read_config(config, args.config)
     out_dir = args.out or f"sweep_{args.kind}"
     _write_run_manifest(out_dir, args.config, config)
-    results = run_sweep(manifest, args.kind, args.ratios, range(args.seeds), _train_config(config),
-                        _section(config, "loss"), jobs=args.jobs)
+    results = run_sweep(manifest, args.kind, args.ratios, range(args.seeds), train_config,
+                        loss, jobs=args.jobs)
     write_results_csv(os.path.join(out_dir, "runs.csv"), results)
     _write_json(os.path.join(out_dir, "aggregate.json"), {"rows": aggregate(results)})
     failures = [r for r in results if r.error]
@@ -230,7 +227,7 @@ def cmd_partition(args) -> int:
     if args.delta is not None and args.delta < 1:
         raise ConfigError(f"delta must be >= 1, got {args.delta}")
     deltas = [args.delta] if args.delta is not None else list(range(1, 7))
-    _, _, _, dataset = _setup_run(_load_config(args.config, args.override), args)
+    _, _, _, dataset = _setup_run(_load_config(args.config, args.override), args.config)
     dist = dataset.partition.min_dist
     finite = dist[np.isfinite(dist)].astype(int)
     print(f"labeled |V_L| = {dataset.partition.labeled.size}")
@@ -249,7 +246,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest, _, _, dataset = _setup_run(_load_config(args.config, args.override), args)
+    manifest, _, _, dataset = _setup_run(_load_config(args.config, args.override), args.config)
     metrics = score(dataset, load_checkpoint(args.checkpoint))
     payload = {
         "dataset": manifest.get("name", "unnamed"),
@@ -284,14 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Positive-unlabeled node classification engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--config", required=True, help="run config JSON document")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="patch the config with a dotted path, repeatable")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="run seed (overrides train.seed)")
 
     p_train = sub.add_parser("train", help="train one model and score it")
     common(p_train)
@@ -300,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run an experiment grid", allow_abbrev=False)
     p_sweep.add_argument("kind", choices=list(SWEEPS), help="which sweep to run")
-    common(p_sweep, seed=False)  # a sweep runs seeds 0..N-1
+    common(p_sweep)
     p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.add_argument("--seeds", type=_positive_int, default=5,
                          help="number of seeds (0..N-1) per cell")
     p_sweep.add_argument("--ratios", type=_ratios, default=None,
                          help="comma-separated label ratios (default: the kind's own)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for grid cells")
     p_sweep.set_defaults(func=cmd_sweep)
 

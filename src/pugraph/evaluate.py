@@ -8,9 +8,9 @@ changing any result.
 A grid prepares its dataset once (`data.prepare_dataset`); each cell draws
 its PU mask and partition from it, so a cell's wall_time excludes the shared
 preparation, apart from A_hat @ X, built by the first cell a process trains.
-A failed preparation is recorded on every cell. A cell's loss comes from
-`resolve_loss`, the one resolver (`pugraph train` and `eval` use it too): its
-method's pins (METHOD_LOSS), then its own knobs, then the grid's loss_overrides.
+A failed preparation is recorded on every cell. `build_run` resolves every run,
+a cell's and each `pugraph` command's; a cell's loss settings are its method's
+pins (METHOD_LOSS), then its own knobs, then the grid's loss_overrides.
 """
 
 import csv
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import PreparedDataset, build_dataset, prepare_dataset
+from .data import PreparedDataset, PUDataset, build_dataset, prepare_dataset
 from .errors import ConfigError, InputError, error_kind
 from .graph import normalize_adjacency  # noqa: F401  (perfbench wraps it here)
 from .losses import LossConfig
@@ -125,20 +125,25 @@ def macro_f1(y_hat: np.ndarray, true_label: np.ndarray,
                          float((np.asarray(y_hat) >= 0.5).mean()))
 
 
-def resolve_loss(settings: dict, prepared: PreparedDataset) -> LossConfig:
-    """The LossConfig of a loss section (absent keys take the defaults).
+def build_run(prepared: PreparedDataset, loss_settings: dict, train_config: TrainConfig,
+              ratio: float, seed: int) -> tuple[PUDataset, TrainConfig]:
+    """One run: the PU mask drawn at `ratio` with `seed`, its partition at the
+    loss's delta, and `train_config` with `seed` and the LossConfig of
+    `loss_settings` (absent keys take the defaults).
 
     pi_p "auto" or absent becomes the true positive rate of `prepared`, an
     oracle read from the true labels. Raises ConfigError for an unknown key
     or a value of the wrong type or out of range.
     """
-    section = dict(settings)
+    section = dict(loss_settings)
     if section.get("pi_p") in (None, "auto"):
         section["pi_p"] = prepared.positive_prior
     try:
-        return LossConfig(**section)
+        loss = LossConfig(**section)
     except TypeError as exc:
         raise ConfigError(f"bad 'loss' section: {exc}") from None
+    return (build_dataset(prepared, ratio, seed, loss.delta),
+            replace(train_config, seed=seed, loss=loss))
 
 
 def score(dataset, params) -> MetricSummary:
@@ -163,9 +168,8 @@ def run_single(source, method: str, ratio: float, seed: int,
         raise InputError(f"unknown method {method!r}; expected one of {sorted(METHOD_LOSS)}")
     t0 = time.perf_counter()
     prepared = source if isinstance(source, PreparedDataset) else prepare_dataset(source)
-    loss_cfg = resolve_loss({**(loss_overrides or {}), **METHOD_LOSS[method]}, prepared)
-    dataset = build_dataset(prepared, ratio, seed, loss_cfg.delta)
-    cfg = replace(train_config or TrainConfig(), seed=seed, loss=loss_cfg)
+    dataset, cfg = build_run(prepared, {**(loss_overrides or {}), **METHOD_LOSS[method]},
+                             train_config or TrainConfig(), ratio, seed)
     params, _ = train(dataset, cfg)
     metrics = score(dataset, params)
     return ExperimentResult(_cell(prepared.manifest, method, ratio, cell_extra), seed,
@@ -212,9 +216,10 @@ def _run_jobs(manifest: dict, cells, ratios, seeds, train_config: TrainConfig | 
         prepared = prepare_dataset(manifest)
     except Exception as exc:  # as a cell failure would be
         return [_failed(manifest, spec, exc) for spec in jobs_spec]
-    if jobs <= 1:
+    workers = min(jobs, len(jobs_spec))  # a pool starts every worker at once
+    if workers <= 1:
         return [_run_cell(prepared, spec) for spec in jobs_spec]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(prepared,)) as pool:
         return list(pool.map(_run_worker_cell, jobs_spec))
 

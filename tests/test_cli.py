@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -9,10 +10,10 @@ import pytest
 
 import pugraph
 from pugraph import cli, evaluate
-from pugraph.cli import _train_config, main
+from pugraph.cli import _read_config, main
 from pugraph.data import build_dataset, prepare_dataset
-from pugraph.evaluate import MAIN_METHODS, resolve_loss
-from pugraph.graph import partition_unlabeled
+from pugraph.evaluate import MAIN_METHODS, build_run
+from pugraph.graph import DistancePartition, partition_unlabeled
 from pugraph.nn import load_checkpoint
 
 from conftest import small_manifest
@@ -156,22 +157,6 @@ class TestTrainCommand:
         assert code == 2
         assert "pugraph-error kind=data" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", [
-        "loss.delta=abc", "label_ratio=abc", "loss=null", "train=null", "loss.bogus=1",
-        "train.epochs=abc", "dataset.n_pos=abc", "dataset.train_fraction=abc",
-        "dataset.split_seed=abc", "dataset.positive_classes=5",
-        'dataset.positive_classes="pos"', "loss.alpha=NaN", "loss.alpha=Infinity",
-        "train.learning_rate=NaN", "train.weight_decay=NaN", "label_ratio=true",
-        'label_ratio="0.1"', "label_ratio=2", "label_ratio=0", "label_ratio=-0.5",
-        "label_ratio=NaN"])
-    def test_a_bad_config_value_exits_1(self, tmp_path, capsys, override):
-        code = main(["train", "--config", str(write_config(tmp_path)),
-                     "--override", override, "--out", str(tmp_path / "run")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "pugraph-error kind=config exit=1" in err
-        assert override.split("=")[0].split(".")[-1] in err  # names the field
-
     def test_a_config_file_that_is_no_object_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("[1]")
@@ -180,13 +165,68 @@ class TestTrainCommand:
         assert "pugraph-error kind=config exit=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("override", [
+    "loss.delta=abc", "label_ratio=abc", "loss=null", "train=null", "loss.bogus=1",
+    "train.epochs=abc", "dataset.n_pos=abc", "dataset.train_fraction=abc",
+    "dataset.split_seed=abc", "dataset.positive_classes=5",
+    'dataset.positive_classes="pos"', "loss.alpha=NaN", "loss.alpha=Infinity",
+    "train.learning_rate=NaN", "train.weight_decay=NaN", "label_ratio=true",
+    'label_ratio="0.1"', "label_ratio=2", "label_ratio=0", "label_ratio=-0.5",
+    "label_ratio=NaN"])
+def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
+    out = tmp_path / "out"
+    argv = ["train"] if command == "train" else ["sweep", "main", "--seeds", "1",
+                                                 "--ratios", "0.02"]
+    code = main([*argv, "--config", str(write_config(tmp_path)),
+                 "--override", override, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "pugraph-error kind=config exit=1" in err
+    assert override.split("=")[0].split(".")[-1] in err  # names the field
+    if command == "sweep":
+        # a sweep reads the document as train does and writes nothing if that
+        # fails; a bad loss or dataset value fails the cells, which are recorded
+        assert out.exists() == override.startswith(("loss.", "dataset."))
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
 def test_every_committed_config_resolves(name):
     # a key that TrainConfig or LossConfig no longer has fails here
-    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+    path = os.path.join(CONFIGS, name)
+    with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
-    assert _train_config(config).epochs >= 1
-    assert resolve_loss(config["loss"], prepare_dataset(small_manifest())).kind == "distance_aware"
+    _, label_ratio, loss, base = _read_config(config, path)
+    assert base.epochs >= 1
+    _, cfg = build_run(prepare_dataset(small_manifest()), loss, base, label_ratio, base.seed)
+    assert cfg.loss.kind == "distance_aware"
+
+
+def test_every_command_builds_the_same_run(tmp_path, monkeypatch):
+    # train, eval, partition and the matching sweep cell resolve one config alike
+    runs, original = [], evaluate.build_run
+
+    def capture(*args):
+        runs.append(original(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "build_run", capture)
+    monkeypatch.setattr(evaluate, "build_run", capture)
+    config = str(write_config(tmp_path, train={"epochs": 2, "seed": 0}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", config, "--out", str(out)]) == 0
+    assert main(["eval", "--config", config, "--checkpoint", str(out / "checkpoint.bin")]) == 0
+    assert main(["partition", "--config", config]) == 0
+    assert main(["sweep", "main", "--config", config, "--out", str(tmp_path / "sweep"),
+                 "--seeds", "1", "--ratios", "0.02"]) == 0
+    assert len(runs) == 3 + len(MAIN_METHODS) and MAIN_METHODS[-1] == "pugnn"
+    (first, first_cfg), *others = runs[:3] + runs[-1:]  # the sweep's pugnn cell runs last
+    for dataset, cfg in others:
+        assert np.array_equal(dataset.labeled_mask, first.labeled_mask)
+        for field in dataclasses.fields(DistancePartition):
+            assert np.array_equal(getattr(dataset.partition, field.name),
+                                  getattr(first.partition, field.name))
+        assert cfg == first_cfg
 
 
 class TestSweepCommand:
@@ -252,12 +292,14 @@ class TestSweepCommand:
         assert list(aggregate) == ["rows"]
         assert {r["dataset"] for r in aggregate["rows"]} == {"cora"}
 
-    @pytest.mark.parametrize("seeds", ["0", "-3"])
-    def test_seeds_below_one_are_a_usage_error(self, tmp_path, capsys, seeds):
+    @pytest.mark.parametrize("flag, value", [("--seeds", "0"), ("--seeds", "-3"),
+                                             ("--jobs", "0"), ("--jobs", "-2"),
+                                             ("--jobs", "abc")])
+    def test_seeds_or_jobs_below_one_are_a_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "sweep"
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "main", "--config", str(write_config(tmp_path)), "--out",
-                  str(out), "--seeds", seeds, "--ratios", "0.02"])
+                  str(out), "--seeds", "1", "--ratios", "0.02", flag, value])
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
         assert not out.exists()
@@ -318,13 +360,18 @@ class TestSweepLossSection:
         with open(tmp_path / "prior" / "runs.csv", newline="", encoding="utf-8") as fh:
             assert {row["ratio"] for row in csv.DictReader(fh)} == {"0.02"}
 
-    @pytest.mark.parametrize("flag", ["--seed", "--ratio"])
-    def test_a_removed_flag_is_a_usage_error(self, tmp_path, flag):
-        # no abbreviation: --seed is not read as --seeds, nor --ratio as --ratios
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "main", "--seeds", "1", "--ratios", "0.02", "--seed", "1"],
+        ["sweep", "main", "--seeds", "1", "--ratios", "0.02", "--ratio", "1"],
+        ["train", "--seed", "1"]], ids=["--seed", "--ratio", "train --seed"])
+    def test_a_removed_flag_is_a_usage_error(self, tmp_path, argv):
+        # no abbreviation: --seed is not read as --seeds, nor --ratio as --ratios;
+        # train takes its run seed from train.seed alone
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "main", "--config", str(write_config(tmp_path)), "--out",
-                  str(tmp_path / "sweep"), "--seeds", "1", "--ratios", "0.02", flag, "1"])
+            main([*argv, "--config", str(write_config(tmp_path)), "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("ratios", ["abc", "0.02,abc", "", "5", "0", "-1", "0.02,1.5",
                                         "nan"])

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from pugraph import evaluate
 from pugraph.data import build_dataset, prepare_dataset
 from pugraph.evaluate import SWEEPS, macro_f1, run_grid, run_sweep, score
 from pugraph.graph import normalize_adjacency
@@ -84,6 +85,33 @@ class TestGrids:
         two = run_grid(*args, jobs=2)
         assert all(r.error is None for r in one)
         assert outcome(two) == outcome(one)
+
+    @pytest.mark.parametrize("jobs, started", [(64, [4]), (3, [3]), (1, [])])
+    def test_a_pool_starts_no_more_workers_than_runs(self, monkeypatch, jobs, started):
+        # a pool forks all its workers at the first submit; this fake starts none
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                workers.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(evaluate, "_worker_prepared", None)
+        args = (small_manifest(), ("naive", "nnpu"), (0.02,), range(2), FAST)
+        results = run_grid(*args, jobs=jobs)
+        assert workers == started
+        assert all(r.error is None for r in results)
+        assert outcome(results) == outcome(run_grid(*args, jobs=1))
 
     @pytest.mark.parametrize("kind", ["grid", *SWEEPS])
     def test_each_sweep_loads_its_source_once(self, monkeypatch, kind):
