@@ -224,8 +224,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    if args.delta is not None and args.delta < 1:
-        raise ConfigError(f"delta must be >= 1, got {args.delta}")
     deltas = [args.delta] if args.delta is not None else list(range(1, 7))
     _, _, _, dataset = _setup_run(_load_config(args.config, args.override), args.config)
     dist = dataset.partition.min_dist
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part = sub.add_parser("partition",
                             help="show distance-partition sizes per delta")
     common(p_part)
-    p_part.add_argument("--delta", type=int, default=None,
+    p_part.add_argument("--delta", type=_positive_int, default=None,
                         help="single delta to report (default: 1..6)")
     p_part.set_defaults(func=cmd_partition)
 

@@ -43,9 +43,6 @@ class Graph:
         """Number of undirected edges."""
         return int(self.indices.size) // 2
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All (src, dst) pairs in CSR order; each undirected edge appears twice."""
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
@@ -86,7 +83,7 @@ class NormalizedAdjacency:
             a = indptr[lo]
             hi = max(lo + 1, int(np.searchsorted(indptr, a + entries, side="right")) - 1)
             b = indptr[hi]
-            prod = dense[self.indices[a:b]]
+            prod = np.take(dense, self.indices[a:b], axis=0)
             prod *= self.weights[a:b, None]
             np.add.reduceat(prod, indptr[lo:hi] - a, axis=0, out=out[lo:hi])
             del prod  # the next block's gather reuses its memory

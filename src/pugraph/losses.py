@@ -13,12 +13,12 @@ edge, in O((n + E) * d + E * k) memory for E edges and k negatives each: no
 n x n array. The E * k term is the sampler's int64 draws, held whole for the
 call (about 14 MB on sbm-8k); the chunks and tiles add only fixed workspaces.
 It works with two sizes. Chunks of _EDGE_CHUNK edges are fixed: the
-value's vdot and the gradient's bincount sums run over a whole chunk, so
-the chunk sets their order and the bits. Tiles of a chunk are sized for the
-cache (about _TILE_FLOATS gathered floats, 1 MB) and change no bits, since
-every per-pair result is elementwise or an einsum over one edge's row. Its
-arithmetic is that of a loop of fresh arrays per chunk, in the same order,
-so the bits are too.
+value's vdot and the gradient's np.add.at scatter sums run over a whole
+chunk, so the chunk sets their order and the bits. Tiles of a chunk are
+sized for the cache (about _TILE_FLOATS gathered floats, 1 MB) and change
+no bits, since every per-pair result is elementwise or an einsum over one
+edge's row. Its arithmetic is that of a loop of fresh arrays per chunk, in
+the same order, so the bits are too.
 """
 
 import time
@@ -221,25 +221,25 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler, k: int,
     Within a chunk, tiles of max(1, _TILE_FLOATS // (k * d)) edges each
     gather their (e, k, d) negatives, take the einsum dots, the sigmoid
     terms and the source sides, and free the gather before the next tile.
-    Then the chunk's vdot adds its value, and one bincount per column
-    scatters the negative side into a (d, n) accumulator; one more per
-    column over the sources adds both source sides.
+    Then the chunk's vdot adds its value, and per column one np.add.at
+    scatters the negative side into a zeroed (n,) buffer that is added to
+    a (d, n) accumulator; one more per column over the sources adds both
+    source sides. np.add.at adds each node's weights in index order,
+    starting from 0.0, as np.bincount would, so the bits are bincount's.
 
     The two sizes differ in kind. A tile is sized for the cache and changes
     no bits: every per-pair result is elementwise, or an einsum over one
     edge's row whose order does not depend on how many edges it sees. A
-    chunk is fixed, because the vdot and the bincount sums run over a whole
+    chunk is fixed, because the vdot and the scatter sums run over a whole
     chunk, so their order, and the bits of every run, depend on it.
 
-    Rows of z are gathered through a view of z (made C-contiguous) whose
-    elements are whole rows, so indexing copies each row as one element
-    instead of d floats one by one; the copy holds the same bits. A chunk's
-    differences s - target (later its bincount weights) and coefficients
-    live in (chunk, k) workspaces, a tile's dots and source sides in (tile,
-    k) and (tile, d) ones, all allocated once per call and written through
-    `out=`. Memory stays O((n + E) * d + E * k) for E directed edges, never
-    O(n^2): the (E, k) draws are held for the whole call, and the workspaces
-    add O(_EDGE_CHUNK * k + _TILE_FLOATS).
+    Rows of z (made C-contiguous) are gathered with np.take along axis 0.
+    A chunk's differences s - target (later its scatter weights) and
+    coefficients live in (chunk, k) workspaces, a tile's dots and source
+    sides in (tile, k) and (tile, d) ones, all allocated once per call and
+    written through `out=`. Memory stays O((n + E) * d + E * k) for E
+    directed edges, never O(n^2): the (E, k) draws are held for the whole
+    call, and the workspaces add O(_EDGE_CHUNK * k + _TILE_FLOATS).
 
     A `stats` dict, when given, gets the sampler's wall time (`sampler_ms`),
     the pairs scored (`pairs`: E positive plus k per sampleable edge) and
@@ -251,11 +251,6 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler, k: int,
         raise InputError(f"k must be >= 1, got {k}")
     z = np.ascontiguousarray(z, dtype=np.float64)
     n, d = z.shape
-    z_rows = z.view(np.dtype((np.void, z.itemsize * d))).ravel()
-
-    def gather(ids):
-        return z_rows[ids].view(np.float64).reshape(ids.shape + (d,))
-
     src, dst = graph.directed_edges()
     can_sample = sampler.non_neighbor_counts[src] > 0
     t0 = time.perf_counter()
@@ -263,12 +258,12 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler, k: int,
     if stats is not None:
         stats.update(sampler_ms=(time.perf_counter() - t0) * 1e3,
                      pairs=src.size + negs.size, skipped_edges=src.size - len(negs))
-    z_dst = gather(dst)
-    diff, coef = _pair_coefs(np.einsum("ed,ed->e", gather(src), z_dst), 1.0)
+    z_dst = np.take(z, dst, axis=0)
+    diff, coef = _pair_coefs(np.einsum("ed,ed->e", np.take(z, src, axis=0), z_dst), 1.0)
     value = float(np.vdot(diff, diff))
     # (E, d) source-side gradient per edge, written over the gathered z[dst]
     to_src = np.multiply(2.0 * coef[:, None], z_dst, out=z_dst)
-    grad_t = np.zeros((d, n))
+    grad_t, scatter = np.zeros((d, n)), np.empty(n)
     rows = np.flatnonzero(can_sample)
     m = min(rows.size, _EDGE_CHUNK)
     tile = max(1, _TILE_FLOATS // (k * d))
@@ -277,24 +272,29 @@ def structural_regularizer(z: np.ndarray, graph: Graph, sampler, k: int,
     for lo in range(0, rows.size, _EDGE_CHUNK):
         chunk = rows[lo:lo + _EDGE_CHUNK]
         b = negs[lo:lo + _EDGE_CHUNK]
-        za = gather(src[chunk])
+        za = np.take(z, src[chunk], axis=0)
         diff, c = diff_ws[:chunk.size], coef_ws[:chunk.size]
         for t in range(0, chunk.size, tile):
             part = slice(t, t + tile)
-            zn = gather(b[part])
+            zn = np.take(z, b[part], axis=0)
             dots, side = dots_ws[:zn.shape[0]], side_ws[:zn.shape[0]]
             np.einsum("ed,ekd->ek", za[part], zn, out=dots)
             _pair_coefs(dots, 0.0, diff=diff[part], coef=c[part])
             to_src[chunk[part]] += np.einsum("ek,ekd->ed", c[part], zn, out=side)
             del zn  # freed before the next tile's gather, not after it
         value += float(np.vdot(diff, diff))
-        # the spent differences take the weights: a fresh buffer per column is twice as slow
+        # the spent differences take each column's weights (a fresh buffer per
+        # column is twice as slow); add.at sums them per node in index order
         flat_b, w = b.ravel(), diff
         for col in range(d):
             np.multiply(c, za[:, col, None], out=w)
-            grad_t[col] += np.bincount(flat_b, weights=w.ravel(), minlength=n)
+            scatter.fill(0.0)
+            np.add.at(scatter, flat_b, w.ravel())
+            grad_t[col] += scatter
     for col in range(d):
-        grad_t[col] += np.bincount(src, weights=to_src[:, col], minlength=n)
+        scatter.fill(0.0)
+        np.add.at(scatter, src, to_src[:, col])
+        grad_t[col] += scatter
     return LossValue(value, {"regularizer": value}), np.ascontiguousarray(grad_t.T)
 
 

@@ -11,9 +11,14 @@ from pugraph.graph import Graph, NormalizedAdjacency, build_graph
 from pugraph.nn import sigmoid
 
 
+def neighbors(g: Graph, i: int) -> np.ndarray:
+    """The sorted neighbor ids of node i: its CSR row."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]]
+
+
 def has_edge(g: Graph, i: int, j: int) -> bool:
     """Whether j is a neighbor of i, by binary search in i's sorted row."""
-    row = g.neighbors(i)
+    row = neighbors(g, i)
     k = np.searchsorted(row, j)
     return bool(k < row.size and row[k] == j)
 
@@ -39,7 +44,7 @@ def save_jsonl(path, graph: Graph, features: np.ndarray, labels):
                 "id": str(i),
                 "features": [float(x) for x in features[i]],
                 "label": str(labels[i]),
-                "neighbors": [str(j) for j in graph.neighbors(i)],
+                "neighbors": [str(j) for j in neighbors(graph, i)],
             }
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
@@ -67,7 +72,7 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     for i in range(n):
-        dist[i, g.neighbors(i)] = 1.0
+        dist[i, neighbors(g, i)] = 1.0
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
     return dist

@@ -403,6 +403,13 @@ class TestPartitionCommand:
             want.append([delta, part.near_unlabeled.size, part.far_unlabeled.size])
         assert [[int(x) for x in line.split()] for line in table.splitlines()] == want
 
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_delta_below_one_is_a_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--config", str(write_config(tmp_path)), "--delta", value])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
     def test_missing_jsonl_file_exits_2(self, tmp_path, capsys):
         manifest = {"name": "missing", "format": "jsonl",
                     "path": str(tmp_path / "no_such_file.jsonl"),

@@ -7,8 +7,8 @@ from pugraph.graph import (NormalizedAdjacency, build_graph, generate_sbm,
                            multi_source_bfs, normalize_adjacency,
                            partition_unlabeled)
 
-from conftest import (dense_adjacency, floyd_warshall, has_edge, random_graph,
-                      traced_peak)
+from conftest import (dense_adjacency, floyd_warshall, has_edge, neighbors,
+                      random_graph, traced_peak)
 
 
 def assert_bit_equal(a, b, arrays=("indptr", "indices")):
@@ -35,7 +35,7 @@ class TestBuildGraph:
         g = build_graph([(0, 1), (1, 0), (1, 1)], 3)
         assert g.num_edges == 1
         assert list(g.degrees) == [1, 1, 0]
-        assert list(g.neighbors(0)) == [1]
+        assert list(neighbors(g, 0)) == [1]
 
     def test_empty_edge_list(self):
         g = build_graph([], 2)
@@ -68,7 +68,7 @@ class TestBuildGraph:
         for _ in range(20):
             g = random_graph(rng, 12, 0.3)
             for i in range(g.num_nodes):
-                row = g.neighbors(i)
+                row = neighbors(g, i)
                 assert (np.diff(row) > 0).all()
                 for j in row:
                     assert has_edge(g, j, i)
@@ -119,7 +119,7 @@ def reference_normalize_adjacency(g):
     weights = np.empty(indptr[-1], dtype=np.float64)
     for i in range(n):
         row = np.empty(g.degrees[i] + 1, dtype=np.int64)
-        nbrs = g.neighbors(i)
+        nbrs = neighbors(g, i)
         pos = np.searchsorted(nbrs, i)
         row[:pos] = nbrs[:pos]
         row[pos] = i
@@ -151,7 +151,7 @@ def reference_multi_source_bfs(g, sources):
     hop = 0.0
     while frontier.size:
         hop += 1.0
-        cand = np.unique(np.concatenate([g.neighbors(v) for v in frontier]))
+        cand = np.unique(np.concatenate([neighbors(g, v) for v in frontier]))
         frontier = cand[np.isinf(dist[cand])]
         dist[frontier] = hop
     return dist
@@ -199,7 +199,12 @@ class TestAgainstReplacedImplementations:
         adj = normalize_adjacency(hub_graph(rng, 300, 0.05))
         for width in (1, 7, 16, 255, 256, 300, 600):
             x = rng.normal(size=(300, width))
-            assert np.array_equal(adj.matmul(x), reference_matmul(adj, x)), width
+            # the gather reads C-ordered, Fortran-ordered and column-sliced operands
+            padded = rng.normal(size=(300, 2 * width + 1))
+            for layout, operand in (("C", x), ("F", np.asfortranarray(x)),
+                                    ("sliced", padded[:, 1::2])):
+                assert np.array_equal(adj.matmul(operand), reference_matmul(adj, operand)), \
+                    (width, layout)
 
     def test_matmul_wide_operand_gathers_a_bounded_block(self):
         # reference_matmul peaks at 280 MB here: a (nnz x 256) gather and its weighted copy
