@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .data import prepare_dataset
-from .errors import EXIT_CODES, ConfigError, TrainingAbort, error_kind
+from .errors import EXIT_CODES, ConfigError, TrainingAbort, check_value, error_kind
 from .evaluate import (SWEEPS, aggregate, build_run, run_sweep, score,
                        write_results_csv)
 from .nn import load_checkpoint, save_checkpoint
@@ -113,21 +113,22 @@ def _resolve_manifest(config: dict, config_path: str) -> dict:
     config_dir = os.path.dirname(os.path.abspath(config_path))
     for key in ("content", "cites", "path"):
         if key in manifest:
-            manifest[key] = _resolve_data_path(str(manifest[key]), config_dir)
+            path = check_value(f"dataset.{key}", manifest[key], str)
+            manifest[key] = _resolve_data_path(path, config_dir)
     return manifest
 
 
 def _read_config(config: dict, config_path: str):
     """A config document's manifest, label ratio, loss section and TrainConfig, checked."""
     manifest = _resolve_manifest(config, config_path)
-    label_ratio = config.get("label_ratio", 0.01)
-    if type(label_ratio) not in (int, float) or not 0.0 < label_ratio <= 1.0:  # no bool
-        raise ConfigError(f"label_ratio must be a number in (0, 1], got {label_ratio!r}")
+    label_ratio = check_value("label_ratio", config.get("label_ratio", 0.01), float)
+    if not 0.0 < label_ratio <= 1.0:
+        raise ConfigError(f"label_ratio must lie in (0, 1], got {label_ratio!r}")
     try:
         train_config = TrainConfig(**_section(config, "train"))
     except TypeError as exc:
         raise ConfigError(f"bad 'train' section: {exc}") from None
-    return manifest, float(label_ratio), _section(config, "loss"), train_config
+    return manifest, label_ratio, _section(config, "loss"), train_config
 
 
 def _setup_run(config: dict, config_path: str):
@@ -327,7 +328,3 @@ def main(argv=None) -> int:
         if kind is None:
             raise
         return _fail(kind, EXIT_CODES[kind], str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,7 +24,7 @@ from functools import partial, wraps
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, check_value
 from .graph import (DistancePartition, Graph, build_graph, generate_sbm,
                     partition_unlabeled)
 
@@ -264,22 +264,20 @@ def make_sbm_dataset(n_pos: int, n_neg: int, p_intra: float, p_inter: float,
     return graph, features, labels
 
 
-def _number(manifest: dict, key: str, default, kind=int):
-    """manifest[key], or the default, as a finite `kind`."""
-    value = manifest.get(key, default)
-    try:
-        number = kind(value)
-        if np.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"dataset.{key} must be a finite number, got {value!r}")
+# Every key a dataset manifest may hold; any other is a ConfigError.
+MANIFEST_KEYS = {"name", "format", "content", "cites", "path", "positive_classes",
+                 "normalize_features", "train_count", "train_fraction", "split_seed",
+                 "n_pos", "n_neg", "p_intra", "p_inter", "graph_seed", "feature_dim"}
+
+
+def _value(manifest: dict, key: str, default, kind=int):
+    return check_value(f"dataset.{key}", manifest.get(key, default), kind)
 
 
 def resolve_train_count(num_nodes: int, manifest: dict) -> int:
     if "train_count" in manifest:
-        return _number(manifest, "train_count", None)
-    frac = _number(manifest, "train_fraction", 0.1, float)
+        return _value(manifest, "train_count", None)
+    frac = _value(manifest, "train_fraction", 0.1, float)
     return max(1, int(np.floor(frac * num_nodes + 0.5)))
 
 
@@ -287,17 +285,18 @@ def load_source(manifest: dict):
     """Dispatch on manifest['format'] and return (graph, features, labels)."""
     fmt = manifest.get("format", "content_cites")
     if fmt == "content_cites":
-        return load_content_cites(manifest["content"], manifest["cites"])
+        return load_content_cites(_value(manifest, "content", None, str),
+                                  _value(manifest, "cites", None, str))
     if fmt == "jsonl":
-        return load_jsonl(manifest["path"])
+        return load_jsonl(_value(manifest, "path", None, str))
     if fmt == "sbm":
         return make_sbm_dataset(
-            n_pos=_number(manifest, "n_pos", 200),
-            n_neg=_number(manifest, "n_neg", 200),
-            p_intra=_number(manifest, "p_intra", 0.05, float),
-            p_inter=_number(manifest, "p_inter", 0.005, float),
-            seed=_number(manifest, "graph_seed", 0),
-            feature_dim=_number(manifest, "feature_dim", 8),
+            n_pos=_value(manifest, "n_pos", 200),
+            n_neg=_value(manifest, "n_neg", 200),
+            p_intra=_value(manifest, "p_intra", 0.05, float),
+            p_inter=_value(manifest, "p_inter", 0.005, float),
+            seed=_value(manifest, "graph_seed", 0),
+            feature_dim=_value(manifest, "feature_dim", 8),
         )
     raise InputError(f"unknown dataset format {fmt!r}")
 
@@ -306,6 +305,9 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     """Load a manifest's source and fix what no run draws: the binary labels,
     the (optionally row-normalized) features and the train/test split, which
     uses the manifest's own `split_seed` so every run shares it."""
+    unknown = sorted(set(manifest) - MANIFEST_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown dataset keys {unknown}; known: {sorted(MANIFEST_KEYS)}")
     graph, features, labels = load_source(manifest)
     positive_names = manifest.get("positive_classes")
     if not isinstance(positive_names, list) or not positive_names:
@@ -318,12 +320,12 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     if len(positive) == len(classes):
         raise InputError("positive_classes must be a strict subset of all classes")
     binary = np.array([name in positive for name in labels], dtype=np.int64)
-    if manifest.get("normalize_features", True):
+    if _value(manifest, "normalize_features", True, bool):
         features = normalize_features(features)
     features = np.ascontiguousarray(features)  # a content file's is a strided view
     train_mask, test_mask = make_train_test_split(
         graph.num_nodes, resolve_train_count(graph.num_nodes, manifest),
-        _number(manifest, "split_seed", 0))
+        _value(manifest, "split_seed", 0))
     return PreparedDataset(dict(manifest), graph, features, binary, train_mask, test_mask)
 
 

@@ -155,10 +155,8 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
 def multi_source_bfs(g: Graph, sources) -> np.ndarray:
     """Hop distance from each node to the closest source; inf if unreachable."""
     src = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if src.size == 0:
-        raise InputError("multi_source_bfs requires at least one source node")
-    if src[0] < 0 or src[-1] >= g.num_nodes:
-        raise InputError(f"source ids must lie in [0, {g.num_nodes})")
+    if src.size == 0 or src[0] < 0 or src[-1] >= g.num_nodes:
+        raise InputError(f"need at least one source, every id in [0, {g.num_nodes})")
     dist = np.full(g.num_nodes, UNREACHABLE)
     dist[src] = 0.0
     frontier = src
@@ -176,19 +174,14 @@ def multi_source_bfs(g: Graph, sources) -> np.ndarray:
 
 
 def partition_unlabeled(g: Graph, labeled, delta: int) -> DistancePartition:
-    """Split non-labeled nodes by BFS distance to the nearest labeled node."""
-    lab = np.unique(np.asarray(list(labeled), dtype=np.int64))
-    if lab.size == 0:
-        raise InputError("partition requires a nonempty labeled set")
+    """Split non-labeled nodes by BFS distance to the nearest labeled node;
+    multi_source_bfs checks the labeled ids, the only nodes at distance 0."""
     if delta < 1:
         raise InputError(f"delta must be >= 1, got {delta}")
-    dist = multi_source_bfs(g, lab)
-    is_labeled = np.zeros(g.num_nodes, dtype=bool)
-    is_labeled[lab] = True
-    unlabeled = np.flatnonzero(~is_labeled)
-    near = unlabeled[dist[unlabeled] <= delta]
-    far = unlabeled[dist[unlabeled] > delta]
-    return DistancePartition(lab, near, far, dist, int(delta))
+    dist = multi_source_bfs(g, labeled)
+    near = np.flatnonzero((dist > 0) & (dist <= delta))
+    return DistancePartition(np.flatnonzero(dist == 0), near,
+                             np.flatnonzero(dist > delta), dist, int(delta))
 
 
 def generate_sbm(n_pos: int, n_neg: int, p_intra: float, p_inter: float,

@@ -22,25 +22,15 @@ the same order, so the bits are too.
 """
 
 import time
-from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_types
 from .graph import DistancePartition, Graph
 from .nn import sigmoid
 
 LOSS_KINDS = ("naive", "nnpu", "distpu", "distance_aware")
-
-
-def check_types(cfg, section: str):
-    """ConfigError unless each field of the dataclass `cfg` holds a value of
-    its declared type; an int counts as a float, a bool as no number."""
-    for f in fields(cfg):
-        value, kind = getattr(cfg, f.name), {int: Integral, float: Real}.get(f.type, f.type)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{section}.{f.name} must be {f.type.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,7 @@ class LossConfig:
 
     pi_p is the overall positive prior (nnpu / distpu); pi_hat and pi_breve
     are the priors assumed for the near / far unlabeled subsets. Checked when
-    built (ConfigError, also for NaN and +-inf); immutable after.
+    built (ConfigError, by check_types, then ranges); immutable after.
     """
 
     kind: str = "distance_aware"
@@ -74,8 +64,8 @@ class LossConfig:
             )
         if self.delta < 1:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.alpha < 0.0:
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.alpha > 0.0 and self.k < 1:
             raise ConfigError(f"k must be >= 1 when alpha > 0, got {self.k}")
 
@@ -195,8 +185,6 @@ def distance_aware_loss(y_hat: np.ndarray, partition: DistancePartition,
         subsets.append(("near", partition.near_unlabeled, pi_hat))
     if partition.far_unlabeled.size:
         subsets.append(("far", partition.far_unlabeled, pi_breve))
-    if not subsets:
-        raise InputError("both unlabeled subsets are empty")
     return _distribution_match(y, partition.labeled, subsets)
 
 

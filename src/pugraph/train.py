@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericError, TrainingAbort
+from .errors import ConfigError, InputError, NumericError, TrainingAbort, check_types
 from .graph import Graph, NormalizedAdjacency, normalize_adjacency
-from .losses import LossConfig, check_types, combined_objective
+from .losses import LossConfig, combined_objective
 from .nn import WEIGHT_NAMES, Y_EPS, forward_from_propagated, gcn_backward, init_params
 
 log = logging.getLogger(__name__)
@@ -41,10 +41,10 @@ class TrainConfig:
         check_types(self, "train")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.learning_rate <= 0.0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 _SLOTS_PER_EDGE = 32  # sampler: membership-table slots per directed edge
@@ -235,12 +235,12 @@ def train(dataset, config: TrainConfig) -> tuple[dict[str, np.ndarray], list[dic
             if not np.isfinite(value.total):
                 raise NumericError(f"non-finite loss {value.total}")
         except NumericError as exc:
-            raise TrainingAbort(f"{exc} at epoch {epoch}", epoch, last_good, records)
+            raise TrainingAbort(f"{exc} at epoch {epoch}", last_good, records)
         clipped = (cache.y_hat <= Y_EPS) | (cache.y_hat >= 1.0 - Y_EPS)
         if clipped.all():
             raise TrainingAbort(
                 f"diverged at epoch {epoch}: every score sits on the Y_EPS clip",
-                epoch, last_good, records)
+                last_good, records)
         last_good = params
         t_backward = time.perf_counter()
         grads = gcn_backward(cache, grad_y, grad_z, params)

@@ -157,6 +157,17 @@ class TestTrainCommand:
         assert code == 2
         assert "pugraph-error kind=data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [{}, {"content": None}])
+    def test_a_manifest_without_a_content_path_exits_1(self, tmp_path, capsys, content):
+        manifest = {"name": "no-content", "format": "content_cites",
+                    "cites": str(tmp_path / "x.cites"), "positive_classes": ["pos"], **content}
+        config_path = write_config(tmp_path, dataset=manifest)
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pugraph-error kind=config exit=1" in err and "dataset.content" in err
+        assert "Traceback" not in err
+
     def test_a_config_file_that_is_no_object_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("[1]")
@@ -173,7 +184,10 @@ class TestTrainCommand:
     'dataset.positive_classes="pos"', "loss.alpha=NaN", "loss.alpha=Infinity",
     "train.learning_rate=NaN", "train.weight_decay=NaN", "label_ratio=true",
     'label_ratio="0.1"', "label_ratio=2", "label_ratio=0", "label_ratio=-0.5",
-    "label_ratio=NaN"])
+    "label_ratio=NaN", "train.seed=-1", "dataset.split_seed=-1", "dataset.graph_seed=-1",
+    "dataset.feature_dim=-1", "dataset.n_pos=200.5", "dataset.n_pos=true",
+    'dataset.n_pos="200"', "dataset.train_fracton=0.5",
+    'dataset.normalize_features="false"'])
 def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     out = tmp_path / "out"
     argv = ["train"] if command == "train" else ["sweep", "main", "--seeds", "1",

@@ -347,6 +347,17 @@ class TestPartitionUnlabeled:
             partition_unlabeled(g, set(), 1)
         with pytest.raises(InputError):
             partition_unlabeled(g, {0}, 0)
+        for out_of_range in ({2}, {-1}):
+            with pytest.raises(InputError):
+                partition_unlabeled(g, out_of_range, 1)
+
+    def test_repeated_unsorted_labeled_ids_come_back_sorted_and_unique(self):
+        g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4)], 6)
+        p = partition_unlabeled(g, [4, 0, 4, 0, 4], 1)
+        assert p.labeled.tolist() == [0, 4]
+        assert p.labeled.dtype == np.int64
+        assert p.near_unlabeled.tolist() == [1, 3]
+        assert p.far_unlabeled.tolist() == [2, 5]
 
 
 class TestGenerateSbm:

@@ -477,6 +477,11 @@ class TestTrain:
             train(ds, TrainConfig(epochs=0))
         with pytest.raises(ConfigError):
             train(ds, TrainConfig(learning_rate=-1.0))
+        with pytest.raises(ConfigError, match="train.seed"):
+            train(ds, TrainConfig(seed=-1))
+        # every config int is a count or a seed, so k >= 0 even when alpha = 0
+        with pytest.raises(ConfigError, match="loss.k"):
+            train(ds, TrainConfig(loss=LossConfig(k=-1, alpha=0.0)))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("cls, name", [
