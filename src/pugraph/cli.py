@@ -124,8 +124,11 @@ def _read_config(config: dict, config_path: str):
     label_ratio = check_value("label_ratio", config.get("label_ratio", 0.01), float)
     if not 0.0 < label_ratio <= 1.0:
         raise ConfigError(f"label_ratio must lie in (0, 1], got {label_ratio!r}")
+    train = _section(config, "train")
+    if "loss" in train:
+        raise ConfigError("train.loss: loss settings belong in the top-level 'loss' section")
     try:
-        train_config = TrainConfig(**_section(config, "train"))
+        train_config = TrainConfig(**train)
     except TypeError as exc:
         raise ConfigError(f"bad 'train' section: {exc}") from None
     return manifest, label_ratio, _section(config, "loss"), train_config

@@ -283,7 +283,7 @@ def resolve_train_count(num_nodes: int, manifest: dict) -> int:
 
 def load_source(manifest: dict):
     """Dispatch on manifest['format'] and return (graph, features, labels)."""
-    fmt = manifest.get("format", "content_cites")
+    fmt = _value(manifest, "format", "content_cites", str)
     if fmt == "content_cites":
         return load_content_cites(_value(manifest, "content", None, str),
                                   _value(manifest, "cites", None, str))
@@ -298,7 +298,7 @@ def load_source(manifest: dict):
             seed=_value(manifest, "graph_seed", 0),
             feature_dim=_value(manifest, "feature_dim", 8),
         )
-    raise InputError(f"unknown dataset format {fmt!r}")
+    raise ConfigError(f"dataset.format must be content_cites, jsonl or sbm, got {fmt!r}")
 
 
 def prepare_dataset(manifest: dict) -> PreparedDataset:

@@ -5,9 +5,10 @@ immutable after construction. This module provides:
 
 - build_graph: edge list -> deduplicated, symmetrized, self-loop-free CSR
 - normalize_adjacency: symmetric GCN normalization with implicit self-loops,
-  weight(i, j) = 1 / sqrt((d_i + 1) (d_j + 1)); its matmul works through
-  cache-sized blocks of rows (at most _GATHER_ELEMS gathered elements, or
-  one row) and is bit-equal to one reduction per row
+  weight(i, j) = 1 / sqrt((d_i + 1) (d_j + 1)); its matmul works on rows
+  grouped by entry count, a cache-sized block at a time (at most
+  _GATHER_ELEMS gathered elements, or one row), and sums each row in
+  np.add.reduceat's order, so it is bit-equal to one reduceat per row
 - multi_source_bfs: unweighted hop distances from a set of source nodes
 - partition_unlabeled: split unlabeled nodes by hop distance to the nearest
   labeled node (threshold delta)
@@ -15,7 +16,7 @@ immutable after construction. This module provides:
   skips between edges over a counter-based RNG
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,44 +52,88 @@ class Graph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """CSR matrix of 1/sqrt((d_i+1)(d_j+1)) over N(i) plus the self-loop of i."""
+    """CSR matrix of 1/sqrt((d_i+1)(d_j+1)) over N(i) plus the self-loop of i.
+
+    Built, it also holds the matmul plan: for each entry count L, the ids of
+    the rows with L entries and their (L, rows) column ids and weights,
+    entry-major, 16 bytes per entry.
+    """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray  # float64
+    _groups: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lengths = np.diff(self.indptr)
+        order = np.argsort(lengths, kind="stable")
+        counts, starts = np.unique(lengths[order], return_index=True)
+        groups = []
+        for count, rows in zip(counts, np.split(order, starts[1:])):
+            entries = self.indptr[rows] + np.arange(count)[:, None]
+            groups.append((rows, self.indices[entries], self.weights[entries]))
+        object.__setattr__(self, "_groups", tuple(groups))
 
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Product with a (num_nodes, d) operand, over blocks of rows.
+        """Product with a (num_nodes, d) operand, bit-equal to np.add.reduceat
+        over each row's entries in CSR order.
 
-        A block is a range of CSR rows [lo, hi) whose entries, gathered as
-        whole rows of the operand, hold at most _GATHER_ELEMS elements; a
-        block holds at least one row, so the gather never exceeds
-        max(_GATHER_ELEMS, longest row x width) elements and stays
-        cache-sized. The weights scale the gather in place and one
-        np.add.reduceat per block writes a contiguous slice of the output,
-        so each output row is one reduction over its entries in CSR order.
-        Every row has at least the self-loop entry, which np.add.reduceat
-        requires (empty segments would repeat the next segment's value).
+        The rows of one entry count L are taken in blocks of r rows whose
+        gather, an (L, r, d) array of weighted operand rows, holds at most
+        _GATHER_ELEMS elements; a block holds at least one row, so the gather
+        never exceeds max(_GATHER_ELEMS, longest row x width) elements and
+        stays cache-sized. The block is reduced in place over its entry axis,
+        one whole (r, d) slice per operation, in reduceat's order: the first
+        entry plus _pairwise_sum of the rest. Every row has at least its
+        self-loop entry.
         """
         if dense.shape[0] != self.num_nodes:
             raise InputError(
                 f"dense operand has {dense.shape[0]} rows, graph has {self.num_nodes} nodes"
             )
         out = np.empty((self.num_nodes, dense.shape[1]), dtype=np.float64)
-        indptr = self.indptr
-        entries = max(1, _GATHER_ELEMS // max(1, dense.shape[1]))
-        lo = 0
-        while lo < self.num_nodes:
-            a = indptr[lo]
-            hi = max(lo + 1, int(np.searchsorted(indptr, a + entries, side="right")) - 1)
-            b = indptr[hi]
-            prod = np.take(dense, self.indices[a:b], axis=0)
-            prod *= self.weights[a:b, None]
-            np.add.reduceat(prod, indptr[lo:hi] - a, axis=0, out=out[lo:hi])
-            del prod  # the next block's gather reuses its memory
-            lo = hi
+        for rows, cols, weights in self._groups:
+            step = max(1, _GATHER_ELEMS // max(1, cols.shape[0] * dense.shape[1]))
+            for lo in range(0, rows.size, step):
+                prod = np.take(dense, cols[:, lo:lo + step], axis=0)
+                prod *= weights[:, lo:lo + step, None]
+                if len(prod) > 1:
+                    prod[0] += _pairwise_sum(prod[1:])
+                out[rows[lo:lo + step]] = prod[0]
+                del prod  # the next block's gather reuses its memory
         return out
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src) of
+    terms[0..n) along axis 0, slice by slice; accumulates into `terms` and
+    returns the view that holds the sum.
+
+    numpy starts the sum at -0.0, and -0.0 + x is x bit for bit, so starting
+    at terms[0] is the same. Under 8 terms it adds them in order; from 8 to
+    128 it keeps eight interleaved partial sums r0..r7, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the n % 8 leftover terms in
+    order; above 128 it sums the halves split at n//2, rounded down to a
+    multiple of 8, the same way and adds the two.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+    tail = 1
+    if n >= 8:
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            terms[:8] += terms[i:i + 8]
+        terms[:8:2] += terms[1:8:2]
+        terms[:8:4] += terms[2:8:4]
+        terms[0] += terms[4]
+    for i in range(tail, n):
+        terms[0] += terms[i]
+    return terms[0]
 
 
 @dataclass(frozen=True)

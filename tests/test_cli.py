@@ -187,7 +187,7 @@ class TestTrainCommand:
     "label_ratio=NaN", "train.seed=-1", "dataset.split_seed=-1", "dataset.graph_seed=-1",
     "dataset.feature_dim=-1", "dataset.n_pos=200.5", "dataset.n_pos=true",
     'dataset.n_pos="200"', "dataset.train_fracton=0.5",
-    'dataset.normalize_features="false"'])
+    'dataset.normalize_features="false"', "dataset.format=xyz", 'train.loss={"alpha":0}'])
 def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     out = tmp_path / "out"
     argv = ["train"] if command == "train" else ["sweep", "main", "--seeds", "1",

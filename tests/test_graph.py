@@ -253,6 +253,46 @@ class TestRowBlockedMatmul:
             # one row's gather at a time, plus numpy's 64 KB ufunc buffer
             assert peak < out.nbytes + 8 * longest * width + 2**17, width
 
+    def test_bit_equal_to_reduceat_in_every_summation_regime(self):
+        # numpy's pairwise sum adds fewer than 8 terms in order, 8 to 128 in
+        # eight partial sums plus leftovers, and splits longer runs in halves;
+        # a row of n entries sums its first entry plus the n - 1 others
+        rng = np.random.default_rng(19)
+        lengths = np.concatenate([[1, 1, 1], np.arange(2, 41), np.arange(120, 137),
+                                  rng.integers(137, 301, size=4), [1001]])
+        n = lengths.size
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = rng.integers(0, n, size=indptr[-1])
+        adj = NormalizedAdjacency(n, indptr, indices, rng.uniform(0.01, 1.0, indptr[-1]))
+        all_negative_zero = indices[indptr[20]:indptr[21]]  # the terms of row 20
+        for width in (1, 16, 500):
+            x = np.maximum(rng.normal(size=(n, width)), 0.0)  # ReLU zeros are +0.0
+            x[::3] *= -1.0  # and -0.0 in these rows
+            x[rng.random(n) < 0.2] = 0.0
+            x[all_negative_zero] = -0.0
+            padded = np.zeros((n, 2 * width + 1))
+            padded[:, 1::2] = x
+            for layout, operand in (("C", x), ("F", np.asfortranarray(x)),
+                                    ("sliced", padded[:, 1::2])):
+                got, expected = adj.matmul(operand), reference_matmul(adj, operand)
+                # array_equal counts -0.0 == +0.0, so compare the sign bits too
+                assert np.array_equal(got, expected), (width, layout)
+                assert np.array_equal(np.signbit(got), np.signbit(expected)), (width, layout)
+            assert np.signbit(got[20]).all()
+
+    def test_a_constructed_adjacency_holds_its_plan(self):
+        # the plan is built with the object, not by the first matmul: each row
+        # once, in the group of its entry count, with its CSR columns and weights
+        adj = reference_normalize_adjacency(hub_graph(np.random.default_rng(20), 300, 0.05))
+        rows = np.concatenate([group[0] for group in adj._groups])
+        assert np.array_equal(np.sort(rows), np.arange(adj.num_nodes))
+        for group_rows, cols, weights in adj._groups:
+            assert cols.shape == weights.shape == (cols.shape[0], group_rows.size)
+            for row, row_cols, row_weights in zip(group_rows, cols.T, weights.T):
+                lo, hi = adj.indptr[row], adj.indptr[row + 1]
+                assert np.array_equal(row_cols, adj.indices[lo:hi])
+                assert np.array_equal(row_weights, adj.weights[lo:hi])
+
     def test_gather_holds_at_most_the_bound_or_the_longest_row(self):
         rng = np.random.default_rng(18)
         g, _ = generate_sbm(4000, 4000, 1.0 / 1000, 1.0 / 8000, 101)
