@@ -118,8 +118,15 @@ def _resolve_manifest(config: dict, config_path: str) -> dict:
     return manifest
 
 
+# Every top-level key a config document may hold; "_note" is a comment
+CONFIG_KEYS = {"dataset", "label_ratio", "loss", "train", "_note"}
+
+
 def _read_config(config: dict, config_path: str):
     """A config document's manifest, label ratio, loss section and TrainConfig, checked."""
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; known: {sorted(CONFIG_KEYS)}")
     manifest = _resolve_manifest(config, config_path)
     label_ratio = check_value("label_ratio", config.get("label_ratio", 0.01), float)
     if not 0.0 < label_ratio <= 1.0:

@@ -290,13 +290,16 @@ def load_source(manifest: dict):
     if fmt == "jsonl":
         return load_jsonl(_value(manifest, "path", None, str))
     if fmt == "sbm":
+        feature_dim = _value(manifest, "feature_dim", 8)
+        if feature_dim < 1:
+            raise ConfigError(f"dataset.feature_dim must be >= 1, got {feature_dim}")
         return make_sbm_dataset(
             n_pos=_value(manifest, "n_pos", 200),
             n_neg=_value(manifest, "n_neg", 200),
             p_intra=_value(manifest, "p_intra", 0.05, float),
             p_inter=_value(manifest, "p_inter", 0.005, float),
             seed=_value(manifest, "graph_seed", 0),
-            feature_dim=_value(manifest, "feature_dim", 8),
+            feature_dim=feature_dim,
         )
     raise ConfigError(f"dataset.format must be content_cites, jsonl or sbm, got {fmt!r}")
 

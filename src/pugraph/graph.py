@@ -67,6 +67,9 @@ class NormalizedAdjacency:
 
     def __post_init__(self):
         lengths = np.diff(self.indptr)
+        empty = np.flatnonzero(lengths < 1)
+        if empty.size:
+            raise InputError(f"adjacency row {empty[0]} has no entry, not even its self-loop")
         order = np.argsort(lengths, kind="stable")
         counts, starts = np.unique(lengths[order], return_index=True)
         groups = []
@@ -86,7 +89,7 @@ class NormalizedAdjacency:
         stays cache-sized. The block is reduced in place over its entry axis,
         one whole (r, d) slice per operation, in reduceat's order: the first
         entry plus _pairwise_sum of the rest. Every row has at least its
-        self-loop entry.
+        self-loop entry, which construction checks.
         """
         if dense.shape[0] != self.num_nodes:
             raise InputError(

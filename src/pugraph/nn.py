@@ -21,6 +21,7 @@ summation order inside BLAS differs, so a few entries can differ from
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,24 +35,27 @@ Y_EPS = 1e-12
 WEIGHT_NAMES = ("W1", "W2", "w_head")  # weight decay applies to these only
 
 
+def param_shapes(feature_dim: int) -> dict[str, tuple[int, ...]]:
+    """The model's parameters, name -> shape, in the order init_params draws them."""
+    return {"W1": (feature_dim, HIDDEN_DIM), "W2": (HIDDEN_DIM, HIDDEN_DIM),
+            "b1": (HIDDEN_DIM,), "b2": (HIDDEN_DIM,), "w_head": (HIDDEN_DIM,), "b_head": ()}
+
+
 def init_params(feature_dim: int, seed: int) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Glorot-uniform weights, bound sqrt(6/(fan_in+fan_out)) (a vector's fan_out is 1),
+    and zero biases."""
     if feature_dim < 1:
         raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out, shape):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
-
-    return {
-        "W1": glorot(feature_dim, HIDDEN_DIM, (feature_dim, HIDDEN_DIM)),
-        "W2": glorot(HIDDEN_DIM, HIDDEN_DIM, (HIDDEN_DIM, HIDDEN_DIM)),
-        "b1": np.zeros(HIDDEN_DIM),
-        "b2": np.zeros(HIDDEN_DIM),
-        "w_head": glorot(HIDDEN_DIM, 1, (HIDDEN_DIM,)),
-        "b_head": np.zeros(()),
-    }
+    params = {}
+    for name, shape in param_shapes(feature_dim).items():
+        if name in WEIGHT_NAMES:
+            fan_in, fan_out = (*shape, 1)[:2]
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -147,69 +151,49 @@ def gcn_backward(cache: ForwardCache, d_yhat: np.ndarray, d_z: np.ndarray,
 
 # --- checkpoint format: one JSON header line, then raw little-endian float64 ---
 
+def _checkpoint_header(shapes: dict) -> bytes:
+    """The header line for arrays of these shapes, laid end to end in name order."""
+    arrays, offset = [], 0
+    for name, shape in sorted(shapes.items()):
+        nbytes = 8 * math.prod(shape)
+        arrays.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    header = {"format": "pugraph-checkpoint-v1", "dtype": "<f8", "arrays": arrays}
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 def save_checkpoint(path, params: dict):
-    arrays = []
-    offset = 0
-    payload = []
-    for name in sorted(params):
-        # ascontiguousarray promotes 0-d to 1-d, so record the original shape
-        arr = np.ascontiguousarray(params[name], dtype="<f8")
-        arrays.append({
-            "name": name,
-            "shape": list(params[name].shape),
-            "offset": offset,
-            "nbytes": arr.nbytes,
-        })
-        payload.append(arr.tobytes())
-        offset += arr.nbytes
-    header = json.dumps(
-        {"format": "pugraph-checkpoint-v1", "dtype": "<f8", "arrays": arrays},
-        sort_keys=True, separators=(",", ":"),
-    )
     with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        fh.write(b"".join(payload))
+        fh.write(_checkpoint_header({name: arr.shape for name, arr in params.items()}))
+        for name in sorted(params):
+            fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint written by save_checkpoint.
 
-    Raises InputError unless the file holds the model's parameters and
-    nothing else: each name once, with the model's shape (W1 of any width
-    >= 1), laid end to end over the whole payload.
+    Raises InputError unless the header line is, byte for byte, the one
+    save_checkpoint writes for param_shapes(f), f >= 1 the width of W1, and
+    the payload holds exactly the arrays it lays out.
     """
     with open(path, "rb") as fh:
         line, blob = fh.readline(), fh.read()
     try:
-        header = json.loads(line)
-        if header["format"] != "pugraph-checkpoint-v1":
-            raise ValueError(header["format"])
-        arrays = sorted((m["offset"], m["name"], list(m["shape"]), m["nbytes"])
-                        for m in header["arrays"])
-    except (ValueError, TypeError, KeyError):
-        raise InputError(f"{path}: not a recognized checkpoint file") from None
-    expected = {"W1": None, "W2": [HIDDEN_DIM, HIDDEN_DIM], "b1": [HIDDEN_DIM],
-                "b2": [HIDDEN_DIM], "w_head": [HIDDEN_DIM], "b_head": []}
-    names = sorted(str(name) for _, name, _, _ in arrays)
-    if names != sorted(expected):
-        raise InputError(f"{path}: checkpoint holds parameters {names}, "
-                         f"expected {sorted(expected)}")
-    values = {}
-    end = 0
-    for offset, name, shape, nbytes in arrays:
-        want = expected[name]
-        if want is None:  # W1, of any width of at least one feature
-            width = shape[0] if shape and isinstance(shape[0], int) and shape[0] >= 1 else "f"
-            want = [width, HIDDEN_DIM]
-        if shape != want:
-            raise InputError(f"{path}: parameter {name} has shape {shape}, expected {want}")
-        size = 8 * int(np.prod(shape))
-        if offset != end or nbytes != size or end + size > len(blob):
-            raise InputError(f"{path}: the payload of {len(blob)} bytes does not hold "
-                             f"{name} at bytes {end} to {end + size}")
-        values[name] = np.frombuffer(blob, dtype="<f8", count=size // 8,
-                                     offset=end).reshape(shape).copy()
-        end += size
-    if end != len(blob):
-        raise InputError(f"{path}: the payload has {len(blob)} bytes, the parameters {end}")
+        width = next((m["shape"][0] for m in json.loads(line)["arrays"] if m["name"] == "W1"),
+                     None)
+    except (ValueError, TypeError, KeyError, IndexError):
+        width = None
+    if type(width) is not int or width < 1:
+        raise InputError(f"{path}: not a recognized checkpoint file")
+    shapes = param_shapes(width)
+    if line != _checkpoint_header(shapes):
+        raise InputError(f"{path}: the header is not the one save_checkpoint writes "
+                         f"for a model of {width} features")
+    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(blob) != size:
+        raise InputError(f"{path}: the payload has {len(blob)} bytes, the parameters {size}")
+    values, offset = {}, 0
+    for name, shape in sorted(shapes.items()):
+        values[name] = np.frombuffer(blob, "<f8", math.prod(shape), offset).reshape(shape).copy()
+        offset += values[name].nbytes
     return values

@@ -187,7 +187,8 @@ class TestTrainCommand:
     "label_ratio=NaN", "train.seed=-1", "dataset.split_seed=-1", "dataset.graph_seed=-1",
     "dataset.feature_dim=-1", "dataset.n_pos=200.5", "dataset.n_pos=true",
     'dataset.n_pos="200"', "dataset.train_fracton=0.5",
-    'dataset.normalize_features="false"', "dataset.format=xyz", 'train.loss={"alpha":0}'])
+    'dataset.normalize_features="false"', "dataset.format=xyz", 'train.loss={"alpha":0}',
+    "labl_ratio=0.5", "=5", "dataset.feature_dim=0"])
 def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     out = tmp_path / "out"
     argv = ["train"] if command == "train" else ["sweep", "main", "--seeds", "1",
@@ -423,6 +424,13 @@ class TestPartitionCommand:
             main(["partition", "--config", str(write_config(tmp_path)), "--delta", value])
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_a_zero_feature_dim_exits_1(self, tmp_path, capsys):
+        # no model is built, yet the manifest itself is checked
+        code = main(["partition", "--config", str(write_config(tmp_path)),
+                     "--override", "dataset.feature_dim=0"])
+        assert code == 1
+        assert "dataset.feature_dim must be >= 1" in capsys.readouterr().err
 
     def test_missing_jsonl_file_exits_2(self, tmp_path, capsys):
         manifest = {"name": "missing", "format": "jsonl",

@@ -293,6 +293,13 @@ class TestRowBlockedMatmul:
                 assert np.array_equal(row_cols, adj.indices[lo:hi])
                 assert np.array_equal(row_weights, adj.weights[lo:hi])
 
+    def test_a_row_without_entries_is_rejected_when_built(self):
+        # every row holds at least its self-loop; an empty one would leave the
+        # plan a group of zero entries, which matmul cannot index
+        with pytest.raises(InputError, match="row 1 "):
+            NormalizedAdjacency(3, np.array([0, 1, 1, 2]), np.array([0, 2]),
+                                np.array([1.0, 2.0]))
+
     def test_gather_holds_at_most_the_bound_or_the_longest_row(self):
         rng = np.random.default_rng(18)
         g, _ = generate_sbm(4000, 4000, 1.0 / 1000, 1.0 / 8000, 101)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -265,5 +267,60 @@ class TestCheckpoint:
         for i, (head, body) in enumerate(cases):
             bad = tmp_path / f"bad{i}.bin"
             bad.write_bytes(head + b"\n" + body)
+            with pytest.raises(InputError):
+                load_checkpoint(bad)
+
+    def test_the_file_format_does_not_drift(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(7, 8))
+        raw = path.read_bytes()
+        assert len(raw) == 3726
+        assert hashlib.sha256(raw).hexdigest() == (
+            "410e02e32cc84fffe352093b6185b32be4dbbac92069527a0cf5b6118d47d31d")
+
+    def test_rejects_a_header_the_writer_never_writes(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        params = init_params(7, 8)
+        save_checkpoint(path, params)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        arrays = {m["name"]: m for m in meta["arrays"]}
+
+        def edited(entries=meta["arrays"], **fields):  # compact and sorted, as written
+            return json.dumps(dict(meta, arrays=entries, **fields), sort_keys=True,
+                              separators=(",", ":")).encode()
+
+        def with_entry(param, **fields):
+            return edited([dict(m, **fields) if m["name"] == param else m
+                           for m in meta["arrays"]])
+
+        def with_width(width):  # every size and offset computed from it, as the writer would
+            entries, offset = [], 0
+            for m in meta["arrays"]:
+                shape = [width, HIDDEN_DIM] if m["name"] == "W1" else m["shape"]
+                entries.append(dict(m, shape=shape, offset=offset, nbytes=8 * math.prod(shape)))
+                offset += entries[-1]["nbytes"]
+            return edited(entries), payload[len(payload) - int(offset):]  # W1 resized
+
+        assert edited() == header and with_width(7) == (header, payload)
+        # the same arrays in reverse name order, offsets and payload to match
+        reordered, body, offset = [], b"", 0
+        for name in sorted(params, reverse=True):
+            reordered.append(dict(arrays[name], offset=offset))
+            body += params[name].astype("<f8").tobytes()
+            offset += arrays[name]["nbytes"]
+        cases = [
+            (with_entry("W2", shape=[16.0, 16.0]), payload),
+            (with_entry("W1", shape=[True, HIDDEN_DIM]), payload),
+            with_width(7.0),
+            with_width(0),
+            (with_entry("b1", offset=float(arrays["b1"]["offset"])), payload),
+            (edited(dtype=">f8"), payload),
+            (edited(reordered), body),
+            (edited(comment="hand-edited"), payload),
+        ]
+        for i, (head, data) in enumerate(cases):
+            bad = tmp_path / f"bad{i}.bin"
+            bad.write_bytes(head + b"\n" + data)
             with pytest.raises(InputError):
                 load_checkpoint(bad)
