@@ -19,10 +19,12 @@ builds on first use (`train.propagate`) and scoring reuses.
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from functools import partial, wraps
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError, ParseError, check_value
 from .graph import (DistancePartition, Graph, build_graph, generate_sbm,
@@ -110,27 +112,84 @@ def _content_error(path, width: int, read, exc) -> ParseError:
     return ParseError(f"unreadable content file: {exc}", str(path))
 
 
-@_utf8
-def load_content_cites(content_path, cites_path):
-    """Parse the citation format; returns (Graph, features, class labels).
+_TAB, _LF, _SPACE, _ZERO = 9, 10, 32, 48  # the bytes of a binary content file's layout
 
-    One np.loadtxt pass reads every row, which must have the first row's
-    column count; features are an (n, d) float64 view of its records.
-    """
-    with open(content_path, "r", encoding="utf-8") as fh:
-        width = next((len(fields) for fields in map(str.split, fh) if fields), 0)
-    if not width:
-        raise InputError(f"{content_path}: content file has no rows")
+
+def _binary_rows(path, d: int):
+    """(ids, features, labels) of a content file whose every line is
+    `id SEP t_1 SEP ... t_d SEP class LF`: printable ASCII id and class, one
+    tab or space per SEP and a single byte 0 or 1 per t. Any other file is
+    None, and loadtxt reads it. Each row's tokens are the odd bytes of the
+    2d + 1 that start at its first separator; byte - '0' is 0.0 or 1.0."""
+    with open(path, "rb") as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size + 1, np.uint8)
+        buf[0] = _LF  # so that the first row starts after a newline, as every other does
+        if fh.readinto(buf[1:]) != buf.size - 1 or buf[-1] != _LF:
+            return None
+    newlines = np.flatnonzero(buf == _LF)
+    sep = buf == _TAB
+    # every byte but a tab or LF is printable ASCII, 32-126 (byte - 32 wraps above 94 else)
+    if np.count_nonzero(buf - np.uint8(_SPACE) > 94) != newlines.size + np.count_nonzero(sep):
+        return None
+    sep |= buf == _SPACE
+    # a separator two bytes after a non-separator starts the tokens of a row
+    first = np.flatnonzero(sep[2:] & ~sep[:-2]) + 2
+    starts, ends = newlines[:-1] + 1, newlines[1:]
+    if first.size != starts.size or not (
+            (starts < first).all() and (first + 2 * d + 1 < ends).all()):
+        return None
+    windows = sliding_window_view(buf, 2 * d + 1)[first]
+    tokens = windows[:, 1::2]
+    # with d + 1 separators in each row's window and none elsewhere, the id
+    # and the class hold none; a token byte - '0' that is no 0 or 1 wraps above 1
+    if (np.count_nonzero(sep) != starts.size * (d + 1)
+            or not ((windows[:, ::2] == _TAB) | (windows[:, ::2] == _SPACE)).all()
+            or np.count_nonzero(tokens - np.uint8(_ZERO) > 1)):
+        return None
+    text = memoryview(buf)
+    ids = [str(text[a:b], "ascii") for a, b in zip(starts.tolist(), first.tolist())]
+    labels = [str(text[a:b], "ascii") for a, b in zip((first + 2 * d + 1).tolist(), ends.tolist())]
+    del sep, text, buf  # so that only the windows stay beside the features
+    features = np.empty(tokens.shape)
+    np.subtract(tokens, np.uint8(_ZERO), out=features)
+    return ids, features, labels
+
+
+def _text_rows(path, width: int):
+    """(ids, features, labels) of any content file, by np.loadtxt; the
+    features are an (n, d) float64 view of its records."""
     # (a first row under 3 columns still gets 3 here, so loadtxt rejects it)
     dtype = np.dtype([("id", object), ("x", np.float64, (max(width - 2, 1),)), ("label", object)])
     read = partial(np.loadtxt, dtype=dtype, comments=None, encoding="utf-8", ndmin=1)
     try:
-        rows = read(content_path)
+        rows = read(path)
     except UnicodeDecodeError:
         raise  # _utf8 finds its line; _content_error would decode the file again
     except ValueError as exc:
-        raise _content_error(content_path, width, read, exc) from None
-    ids, features, labels = rows["id"], rows["x"], rows["label"].tolist()
+        raise _content_error(path, width, read, exc) from None
+    return rows["id"], rows["x"], rows["label"].tolist()
+
+
+@_utf8
+def load_content_cites(content_path, cites_path):
+    """Parse the citation format; returns (Graph, features, class labels).
+
+    When the first row's features are all the tokens 0 and 1, _binary_rows
+    reads the file's bytes. Every file it does not take goes to one
+    np.loadtxt pass, which reads every row; each row must have the first
+    row's column count. Both give the same float64 (n, d) features.
+    """
+    with open(content_path, "r", encoding="utf-8") as fh:
+        first = next((fields for fields in map(str.split, fh) if fields), [])
+    width = len(first)
+    if not width:
+        raise InputError(f"{content_path}: content file has no rows")
+    rows = None
+    if width >= 3 and set(first[1:-1]) <= {"0", "1"}:
+        rows = _binary_rows(content_path, width - 2)
+    if rows is None:
+        rows = _text_rows(content_path, width)
+    ids, features, labels = rows
     index = {node_id: i for i, node_id in enumerate(ids)}
     if len(index) != len(ids):
         raise InputError(f"{content_path}: duplicate node ids in content file")
@@ -178,6 +237,8 @@ def load_jsonl(path):
             if rows and len(row) != len(rows[0]):
                 raise ParseError(f"expected {len(rows[0])} features, found {len(row)}",
                                  str(path), lineno)
+            if not row:  # the first record's count binds every other record
+                raise ParseError("'features' must not be empty", str(path), lineno)
             ids.append(str(obj["id"]))
             rows.append(row)
             labels.append(str(obj["label"]))

@@ -157,6 +157,21 @@ class TestTrainCommand:
         assert code == 2
         assert "pugraph-error kind=data" in capsys.readouterr().err
 
+    def test_jsonl_records_without_features_exit_2_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("".join(json.dumps({"id": str(i), "features": [],
+                                            "label": "pos" if i % 2 else "neg",
+                                            "neighbors": []}) + "\n" for i in range(40)))
+        manifest = {"format": "jsonl", "path": str(path), "positive_classes": ["pos"]}
+        out_dir = tmp_path / "run"
+        code = main(["train", "--config", str(write_config(tmp_path, dataset=manifest)),
+                     "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pugraph-error kind=data exit=2" in err
+        assert f"{path}:1: 'features' must not be empty" in err
+        assert not (out_dir / "manifest.json").exists()
+
     @pytest.mark.parametrize("content", [{}, {"content": None}])
     def test_a_manifest_without_a_content_path_exits_1(self, tmp_path, capsys, content):
         manifest = {"name": "no-content", "format": "content_cites",

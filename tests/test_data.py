@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+import pugraph.data
 from pugraph.data import (build_dataset, load_content_cites, load_jsonl,
                           load_source, make_pu_split, make_sbm_dataset,
                           make_train_test_split, normalize_features,
@@ -169,6 +170,20 @@ class TestLoadContentCites:
         assert np.abs(features - values).max() < 1e-7
         assert peak < 1.5 * features.nbytes
 
+    def test_binary_parse_holds_no_per_line_text(self, tmp_path, byte_reads):
+        # the twin of the test above for a file of 0/1 tokens, which is read
+        # from its bytes: neither its lines nor its tokens may stay alive
+        bits = np.random.default_rng(1).random((1500, 400)) < 0.5
+        content = tmp_path / "j.content"
+        content.write_text("".join(f"v{i}\t" + "\t".join("1" if b else "0" for b in row) + "\tc\n"
+                                   for i, row in enumerate(bits)))
+        (tmp_path / "j.cites").write_text("")
+        (_, features, _), peak = traced_peak(load_content_cites, content,
+                                             tmp_path / "j.cites")
+        assert byte_reads == [True]
+        assert np.array_equal(features, bits)
+        assert peak < 1.5 * features.nbytes
+
     @pytest.mark.parametrize("bad_file, rows_before", [
         ("content", 1),
         ("content", 3000),  # past the first 8 KB that a text read decodes at once
@@ -197,6 +212,110 @@ class TestLoadContentCites:
         assert prepared.features.dtype == np.float64
         raw = load_content_cites(content, cites)[1]
         assert np.array_equal(prepared.features, normalize_features(raw) if normalize else raw)
+
+
+@pytest.fixture
+def byte_reads(monkeypatch):
+    """Whether each call of the byte reader took its file, in call order."""
+    taken, read = [], pugraph.data._binary_rows
+
+    def spy(*args):
+        rows = read(*args)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr("pugraph.data._binary_rows", spy)
+    return taken
+
+
+def load_outcome(content, cites):
+    """load_content_cites' result, or the type and message of what it raised."""
+    try:
+        return load_content_cites(content, cites)
+    except ValueError as exc:  # InputError and ParseError among them
+        return type(exc), str(exc)
+
+
+# content files, and whether the byte reader takes them; any file it leaves
+# goes to np.loadtxt, so every case must load as loadtxt alone loads it
+DIFFERENTIAL = {
+    "binary": (CONTENT_3, True),
+    "binary, one feature": ("n1\t1\tml\nn2\t0\ttheory\nn3\t0\tml\n", True),
+    "binary, one-byte ids and classes": ("1\t1\t0\t1\ta\n2 0 1 0 b\n3\t1\t1\t0\ta\n", True),
+    "mixed tabs and spaces": ("n1 1\t0 1\tml\nn2\t0 1\t0 theory\nn3 1 1 0 ml\n", True),
+    "a float row in the middle": ("n1\t1\t0\t1\tml\nn2\t0.5\t1\t0\ttheory\nn3\t1\t1\t0\tml\n",
+                                  False),
+    "CRLF": (CONTENT_3.replace("\n", "\r\n"), False),
+    "a blank line": (CONTENT_3.replace("\nn2", "\n\nn2"), False),
+    "a doubled separator": (CONTENT_3.replace("n2\t0", "n2\t\t0"), False),
+    "a leading separator": (" " + CONTENT_3, False),
+    "a row without an id": (CONTENT_3.replace("\nn2\t", "\n\t"), False),
+    "trailing whitespace": (CONTENT_3.replace("theory\n", "theory \n"), False),
+    "a whitespace-only last line": (CONTENT_3 + " \t \n", False),
+    "no final newline": (CONTENT_3[:-1], False),
+    "an unterminated one-field last line": (CONTENT_3 + "n4", False),
+    "a non-ASCII id": (CONTENT_3.replace("n2", "n\u00e92"), False),
+    "a vertical tab separator": (CONTENT_3.replace("n2\t", "n2\x0b"), False),
+    "a file separator byte": (CONTENT_3.replace("n2\t", "n2\x1c"), False),
+    "a short row": (CONTENT_3.replace("\t0\ttheory", "\ttheory"), False),
+    "a long row": (CONTENT_3.replace("\ttheory", "\t1\ttheory"), False),
+    "a class-less row": (CONTENT_3.replace("\ttheory", ""), False),
+    "a class-less row with a trailing tab": (CONTENT_3.replace("\ttheory", "\t"), False),
+    # as many separators as three good rows, but not one per field boundary
+    "a short row and a long row": ("n1\t0\t1\tml\nn2\t1\t0theory\nn3\t1\t0\tm\tx\n", False),
+    "a duplicate id": (CONTENT_3.replace("n3", "n1"), True),
+    "a -0 token": (CONTENT_3.replace("n2\t0", "n2\t-0"), False),
+    "a 1.0 token": (CONTENT_3.replace("n2\t0\t1", "n2\t0\t1.0"), False),
+    "a two-byte token": (CONTENT_3.replace("n2\t0", "n2\t01"), False),
+    "a token of 2": (CONTENT_3.replace("n2\t0", "n2\t2"), False),
+    "a first row of floats": (CONTENT_3.replace("n1\t1", "n1\t1.0"), None),
+}
+
+
+class TestBytesAndLoadtxtAgree:
+    @pytest.mark.parametrize("text, takes", DIFFERENTIAL.values(), ids=DIFFERENTIAL)
+    def test_the_byte_reader_loads_what_loadtxt_loads(self, tmp_path, monkeypatch,
+                                                      byte_reads, text, takes):
+        content, cites = tmp_path / "x.content", tmp_path / "x.cites"
+        content.write_bytes(text.encode())
+        cites.write_text("n1\tn2\nn3\tn1\n1\t3\n")
+        got = load_outcome(content, cites)
+        # a first row that is not all 0/1 tokens never reaches the byte reader
+        assert byte_reads == ([] if takes is None else [takes])
+        monkeypatch.setattr("pugraph.data._binary_rows", lambda *args: None)
+        want = load_outcome(content, cites)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (graph, features, labels), (want_graph, want_features, want_labels) = got, want
+        assert np.array_equal(graph.indptr, want_graph.indptr)
+        assert np.array_equal(graph.indices, want_graph.indices)
+        assert features.dtype == want_features.dtype == np.float64
+        assert features.shape == want_features.shape
+        assert np.array_equal(features.view(np.int64), want_features.view(np.int64))
+        assert labels == want_labels
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_a_citation_shaped_file_is_read_from_its_bytes_bit_for_bit(
+            self, tmp_path, monkeypatch, byte_reads, seed):
+        # ids of 1 to 7 digits and several class names, as in Cora
+        rng = np.random.default_rng(seed)
+        bits = rng.random((300, 200)) < 0.05
+        ids = rng.choice(np.arange(1, 2_000_000), size=300, replace=False)
+        classes = ["Neural_Networks", "Theory", "Rule_Learning"]
+        content, cites = tmp_path / "s.content", tmp_path / "s.cites"
+        content.write_text("".join(
+            f"{node}\t" + "\t".join("1" if b else "0" for b in row)
+            + f"\t{classes[node % 3]}\n" for node, row in zip(ids, bits)))
+        cites.write_text("".join(f"{a}\t{b}\n" for a, b in rng.choice(ids, size=(400, 2))))
+        got = load_content_cites(content, cites)
+        monkeypatch.setattr("pugraph.data._binary_rows", lambda *args: None)
+        want = load_content_cites(content, cites)
+        assert byte_reads == [True]
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+        assert got[2] == want[2]
+        assert np.array_equal(got[0].indptr, want[0].indptr)
+        assert np.array_equal(got[0].indices, want[0].indices)
 
 
 class TestJsonl:
@@ -259,6 +378,13 @@ class TestJsonl:
         path.write_text('{"id": "a", "features": [1, 2], "label": "x", "neighbors": []}\n\n'
                         + record + "\n")
         with pytest.raises(ParseError, match=f"rec.jsonl:3: {message}"):
+            load_jsonl(path)
+
+    def test_records_without_features_are_a_parse_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n" + "".join(json.dumps({"id": str(i), "features": [], "label": "x",
+                                                   "neighbors": []}) + "\n" for i in range(3)))
+        with pytest.raises(ParseError, match="empty.jsonl:2: 'features' must not be empty"):
             load_jsonl(path)
 
     def test_invalid_utf8_is_a_parse_error_naming_its_line(self, tmp_path):
