@@ -198,11 +198,14 @@ def cmd_train(args) -> int:
     if metrics.frac_positive in (0.0, 1.0):
         log.warning("the trained model predicts every node %s",
                     "positive" if metrics.frac_positive else "negative")
+    part = dataset.partition
     _write_json(os.path.join(out_dir, "result.json"), {
         "dataset": manifest.get("name", "unnamed"),
         "seed": cfg.seed,
         "label_ratio": label_ratio,
         "loss": asdict(cfg.loss),
+        "set_sizes": {"labeled": int(part.labeled.size), "near": int(part.near_unlabeled.size),
+                      "far": int(part.far_unlabeled.size)},
         **asdict(metrics),
         "wall_time_s": time.perf_counter() - t0,
         "threads": _thread_note(),

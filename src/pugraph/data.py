@@ -12,7 +12,9 @@ Both loaders produce the same triple (Graph, features, class labels) with
 node order equal to file order and the adjacency symmetrized.
 
 `prepare_dataset` does once per manifest what no run draws: load, binarize,
-normalize, split. `build_dataset` draws one run's PU mask and partition from
+normalize, split. Every loader returns a new feature array, and
+`normalize_features` scales it in place, so normalizing allocates no second
+feature matrix. `build_dataset` draws one run's PU mask and partition from
 that PreparedDataset, which also keeps the propagated features that training
 builds on first use (`train.propagate`) and scoring reuses.
 """
@@ -259,14 +261,30 @@ def load_jsonl(path):
     return graph, np.asarray(rows, dtype=np.float64), labels
 
 
+_NORM_ELEMS = 1 << 16  # normalize_features: elements of one row block's workspace (512 KB)
+
+
 def normalize_features(features: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L1 norm; zero rows stay zero."""
+    """Scale each row to unit L1 norm in place and return the array; zero rows
+    stay zero. A float64 argument is overwritten, any other is converted first.
+
+    A block of at most _NORM_ELEMS elements (or one row) at a time gets its
+    |x| into one reused workspace, is checked finite there and summed by row,
+    each row as `np.abs(features).sum(axis=1)` sums it; then one division
+    scales every row. A NaN or Inf raises InputError before anything is written.
+    """
     features = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(features).all():
-        raise InputError("features contain NaN or Inf")
-    norms = np.abs(features).sum(axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return features / safe
+    n, d = features.shape
+    step = max(1, _NORM_ELEMS // max(1, d))
+    work = np.empty((min(step, n), d))
+    norms = np.empty((n, 1))
+    for lo in range(0, n, step):
+        block = np.abs(features[lo:lo + step], out=work[:min(step, n - lo)])
+        if not np.isfinite(block).all():
+            raise InputError("features contain NaN or Inf")
+        block.sum(axis=1, keepdims=True, out=norms[lo:lo + step])
+    norms[norms == 0.0] = 1.0
+    return np.divide(features, norms, out=features)
 
 
 def make_train_test_split(num_nodes: int, train_count: int,
@@ -385,7 +403,7 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
         raise InputError("positive_classes must be a strict subset of all classes")
     binary = np.array([name in positive for name in labels], dtype=np.int64)
     if _value(manifest, "normalize_features", True, bool):
-        features = normalize_features(features)
+        features = normalize_features(features)  # in place: the loader's array is its own
     features = np.ascontiguousarray(features)  # a content file's is a strided view
     train_mask, test_mask = make_train_test_split(
         graph.num_nodes, resolve_train_count(graph.num_nodes, manifest),

@@ -88,6 +88,7 @@ class ExperimentResult:
     wall_time: float
     error: str | None = None
     error_kind: str | None = None  # EXIT_CODES key of the error, if mapped
+    frac_positive: float | None = None  # MetricSummary's; None for a failed run
 
 
 def confusion_counts(y_hat: np.ndarray, true_label: np.ndarray,
@@ -174,7 +175,8 @@ def run_single(source, method: str, ratio: float, seed: int,
     metrics = score(dataset, params)
     return ExperimentResult(_cell(prepared.manifest, method, ratio, cell_extra), seed,
                             metrics.macro_f1, metrics.f1_pos, metrics.f1_neg,
-                            metrics.confusion, time.perf_counter() - t0)
+                            metrics.confusion, time.perf_counter() - t0,
+                            frac_positive=metrics.frac_positive)
 
 
 def _failed(manifest: dict, spec, exc: Exception) -> ExperimentResult:
@@ -244,7 +246,8 @@ def run_sweep(manifest: dict, kind: str, ratios=None, seeds=range(5),
 
 
 def aggregate(results: list[ExperimentResult]) -> list[dict]:
-    """Group by cell, report mean and sample (n-1) std of the macro F1.
+    """Group by cell, report mean and sample (n-1) std of the macro F1 and
+    the count of one-class runs, whose frac_positive is 0.0 or 1.0.
 
     A cell with no successful run has mean and std None (null in JSON).
     """
@@ -262,6 +265,7 @@ def aggregate(results: list[ExperimentResult]) -> list[dict]:
             "n": len(ok),
             "mean": float(scores.mean()) if ok else None,
             "std": std if ok else None,
+            "one_class_runs": sum(r.frac_positive in (0.0, 1.0) for r in ok),
             "errors": [r.error for r in groups[key] if r.error is not None],
         })
         rows.append(row)

@@ -141,6 +141,20 @@ class TestTrainCommand:
         assert 0.0 < json.loads((out_dir / "result.json").read_text())["frac_positive"] < 1.0
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
+    def test_result_records_the_set_sizes_that_partition_prints(self, tmp_path, capsys):
+        config = os.path.join(CONFIGS, "sbm_pugnn.json")
+        assert main(["partition", "--config", config, "--delta", "2"]) == 0
+        printed = capsys.readouterr().out
+        labeled = int(re.search(r"labeled \|V_L\| = (\d+)", printed).group(1))
+        delta, near, far = map(int, printed.splitlines()[-1].split())
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", config, "--override", "train.epochs=2",
+                     "--out", str(out_dir)]) == 0
+        result = json.loads((out_dir / "result.json").read_text())
+        assert result["loss"]["delta"] == delta == 2
+        assert result["set_sizes"] == {"labeled": labeled, "near": near, "far": far}
+        assert labeled + near + far == 400 and labeled > 0 and near > 0 and far > 0
+
     def test_pi_hat_not_above_pi_breve_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path, loss={"kind": "distance_aware", "delta": 2,
                                                    "pi_hat": 0.3, "pi_breve": 0.3})
@@ -289,6 +303,39 @@ class TestSweepCommand:
         assert rows["pugnn"]["mean"] is None and rows["pugnn"]["std"] is None
         assert rows["pugnn"]["errors"][0].startswith("ConfigError")
         assert all(rows[m]["n"] == 1 for m in MAIN_METHODS if m != "pugnn")
+
+    def test_aggregate_counts_the_one_class_runs(self, tmp_path, capsys, monkeypatch):
+        # naive predicts every node negative and nnpu every node positive; the
+        # other cells count as their scored models say (cells run in grid order)
+        trained, scored = [], []
+        train, score = evaluate.train, evaluate.score
+        kind_method = {"naive": "naive", "nnpu": "nnpu", "distpu": "distpu",
+                       "distance_aware": "pugnn"}
+
+        def forced_train(dataset, config):
+            params, records = train(dataset, config)
+            trained.append(kind_method[config.loss.kind])
+            forced = {"naive": -50.0, "nnpu": 50.0}.get(trained[-1])
+            if forced is not None:
+                params["b_head"][...] = forced  # every score on one side of 0.5
+            return params, records
+
+        def recorded_score(dataset, params):
+            metrics = score(dataset, params)
+            scored.append(metrics.frac_positive)
+            return metrics
+
+        monkeypatch.setattr(evaluate, "train", forced_train)
+        monkeypatch.setattr(evaluate, "score", recorded_score)
+        config_path = write_config(tmp_path, train={"epochs": 10})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "main", "--config", str(config_path), "--out", str(out_dir),
+                     "--seeds", "2", "--ratios", "0.02"]) == 0
+        rows = json.loads((out_dir / "aggregate.json").read_text())["rows"]
+        want = {m: sum(frac in (0.0, 1.0) for t, frac in zip(trained, scored) if t == m)
+                for m in MAIN_METHODS}
+        assert {r["method"]: r["one_class_runs"] for r in rows} == want
+        assert want["naive"] == want["nnpu"] == 2 and len(scored) == 8
 
     def test_missing_content_file_fails_every_cell_and_exits_2(self, tmp_path, capsys):
         # the sweep prepares its dataset once; a failed preparation is every cell's error

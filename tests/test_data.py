@@ -520,6 +520,81 @@ class TestNormalizeFeatures:
         with pytest.raises(InputError):
             normalize_features(np.array([[1.0, np.nan]]))
 
+    @staticmethod
+    def oracle(x: np.ndarray) -> np.ndarray:
+        """The whole-array expression: |x| row sums, zero sums replaced by 1."""
+        n = np.abs(x).sum(axis=1, keepdims=True)
+        return x / np.where(n > 0, n, 1.0)
+
+    @staticmethod
+    def signed_sparse(rng, n: int, d: int) -> np.ndarray:
+        """Rows of both signs, -0.0 entries and every fifth row all zero."""
+        x = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
+        x[rng.random((n, d)) < 0.1] = -0.0
+        x[::5] = 0.0
+        x[1::5] = -0.0
+        return x
+
+    @pytest.mark.parametrize("n, d, block", [(100, 1433, None), (101, 10, 64), (7, 3, 1),
+                                             (3, 70_000, None), (1, 5, None)])
+    def test_bit_equal_to_the_whole_array_expression(self, monkeypatch, n, d, block):
+        # blocks of 45, 6 and 1 rows leave a short last block; 70,000 columns
+        # exceed one workspace, so each row is a block of its own
+        if block is not None:
+            monkeypatch.setattr(pugraph.data, "_NORM_ELEMS", block)
+        x = self.signed_sparse(np.random.default_rng(n * d), n, d)
+        want = self.oracle(x)
+        out = normalize_features(x)
+        assert out is x
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_a_strided_argument_is_scaled_where_it_lies(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(pugraph.data, "_NORM_ELEMS", block)
+        rng = np.random.default_rng(5)
+        base = self.signed_sparse(rng, 103, 40)
+        before = base.copy()
+        view = base[:, 1::3]  # a column slice: no row of it is contiguous
+        want = self.oracle(view.copy())
+        out = normalize_features(view)
+        assert np.shares_memory(out, base)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.delete(base, np.s_[1::3], axis=1).view(np.int64),
+                              np.delete(before, np.s_[1::3], axis=1).view(np.int64))
+
+    def test_a_structured_field_like_loadtxts_is_scaled_in_place(self):
+        rows = np.zeros(50, dtype=[("id", object), ("x", np.float64, (9,)), ("label", object)])
+        rows["x"] = self.signed_sparse(np.random.default_rng(2), 50, 9)
+        want = self.oracle(rows["x"].copy())
+        out = normalize_features(rows["x"])
+        assert np.shares_memory(out, rows)
+        assert np.array_equal(np.ascontiguousarray(rows["x"]).view(np.int64),
+                              want.view(np.int64))
+
+    def test_a_non_float64_argument_is_converted_and_left_alone(self):
+        x = np.array([[2, 0, 2], [0, 0, 0]], dtype=np.int64)
+        out = normalize_features(x)
+        assert out.dtype == np.float64 and not np.shares_memory(out, x)
+        assert out.tolist() == [[0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]
+        assert x.tolist() == [[2, 0, 2], [0, 0, 0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_the_last_block_raises_before_any_write(self, bad):
+        x = self.signed_sparse(np.random.default_rng(9), 100, 1433)  # blocks of 45 rows
+        x[-1, -1] = bad
+        before = x.copy()
+        with pytest.raises(InputError, match="^features contain NaN or Inf$"):
+            normalize_features(x)
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))
+
+    def test_allocates_well_under_one_feature_matrix(self):
+        # a Cora-shaped matrix, 31 MB; the whole-array expression allocates two more
+        x = (np.random.default_rng(4).random((2708, 1433)) < 0.013).astype(np.float64)
+        out, peak = traced_peak(normalize_features, x)
+        assert out is x
+        assert peak < x.nbytes / 8
+
 
 class TestSbmDataset:
     def test_features_and_graph_deterministic(self):

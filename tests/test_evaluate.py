@@ -6,7 +6,8 @@ import pytest
 
 from pugraph import evaluate
 from pugraph.data import build_dataset, prepare_dataset
-from pugraph.evaluate import SWEEPS, macro_f1, run_grid, run_sweep, score
+from pugraph.evaluate import (SWEEPS, ExperimentResult, aggregate, macro_f1, run_grid,
+                              run_sweep, score)
 from pugraph.graph import normalize_adjacency
 from pugraph.nn import gcn_forward
 from pugraph.train import TrainConfig, train
@@ -37,6 +38,27 @@ def test_frac_positive_counts_every_node_not_only_the_masked_ones():
     metrics = macro_f1(y, np.array([1, 0, 0, 1]), np.array([False, False, True, True]))
     assert metrics.frac_positive == 0.5
     assert (metrics.confusion.tp, metrics.confusion.fp) == (0, 0)
+
+
+def test_aggregate_counts_the_one_class_runs_of_each_cell():
+    def run(method, seed, f1, frac_positive, error=None):
+        return ExperimentResult({"dataset": "d", "method": method, "ratio": 0.1}, seed,
+                                f1, f1, f1, None, 1.0, error=error,
+                                frac_positive=frac_positive)
+
+    nan = float("nan")
+    rows = aggregate([
+        run("a", 0, 60.0, 1.0), run("a", 1, 80.0, 0.4), run("a", 2, 40.0, 0.0),
+        run("b", 0, 90.0, None), run("b", 1, nan, None, error="InputError: x"),
+        run("c", 0, nan, None, error="ConfigError: y")])
+    cell = {"dataset": "d", "ratio": 0.1}
+    assert rows == [
+        {**cell, "method": "a", "n": 3, "mean": 60.0, "std": 20.0, "one_class_runs": 2,
+         "errors": []},
+        {**cell, "method": "b", "n": 1, "mean": 90.0, "std": 0.0, "one_class_runs": 0,
+         "errors": ["InputError: x"]},
+        {**cell, "method": "c", "n": 0, "mean": None, "std": None, "one_class_runs": 0,
+         "errors": ["ConfigError: y"]}]
 
 
 class TestPreparedDataset:
