@@ -24,7 +24,6 @@ line argparse rejects), 3 numeric abort.
 import argparse
 import datetime
 import json
-import logging
 import os
 import sys
 import time
@@ -41,8 +40,6 @@ from .nn import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train
 
 DATA_DIR_ENV = "PUGRAPH_DATA"
-
-log = logging.getLogger(__name__)
 
 
 def _fail(kind: str, code: int, message: str) -> int:
@@ -195,9 +192,6 @@ def cmd_train(args) -> int:
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), params)
     _write_train_log(out_dir, records)
     metrics = score(dataset, params)
-    if metrics.frac_positive in (0.0, 1.0):
-        log.warning("the trained model predicts every node %s",
-                    "positive" if metrics.frac_positive else "negative")
     part = dataset.partition
     _write_json(os.path.join(out_dir, "result.json"), {
         "dataset": manifest.get("name", "unnamed"),

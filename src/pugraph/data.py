@@ -354,10 +354,19 @@ def _value(manifest: dict, key: str, default, kind=int):
 
 
 def resolve_train_count(num_nodes: int, manifest: dict) -> int:
+    """The train split's size: dataset.train_count, else train_fraction of the
+    nodes, rounded and at least 1 if the fraction is positive. A size that
+    leaves no train or no test node is a ConfigError naming the key."""
     if "train_count" in manifest:
-        return _value(manifest, "train_count", None)
-    frac = _value(manifest, "train_fraction", 0.1, float)
-    return max(1, int(np.floor(frac * num_nodes + 0.5)))
+        key, value = "train_count", _value(manifest, "train_count", None)
+        count = value
+    else:
+        key, value = "train_fraction", _value(manifest, "train_fraction", 0.1, float)
+        count = max(1, int(np.floor(value * num_nodes + 0.5))) if value > 0.0 else 0
+    if not 0 < count < num_nodes:
+        raise ConfigError(f"dataset.{key} must leave a train and a test node "
+                          f"of {num_nodes}, got {value!r}")
+    return count
 
 
 def load_source(manifest: dict):
@@ -369,17 +378,20 @@ def load_source(manifest: dict):
     if fmt == "jsonl":
         return load_jsonl(_value(manifest, "path", None, str))
     if fmt == "sbm":
-        feature_dim = _value(manifest, "feature_dim", 8)
-        if feature_dim < 1:
-            raise ConfigError(f"dataset.feature_dim must be >= 1, got {feature_dim}")
-        return make_sbm_dataset(
-            n_pos=_value(manifest, "n_pos", 200),
-            n_neg=_value(manifest, "n_neg", 200),
-            p_intra=_value(manifest, "p_intra", 0.05, float),
-            p_inter=_value(manifest, "p_inter", 0.005, float),
-            seed=_value(manifest, "graph_seed", 0),
-            feature_dim=feature_dim,
-        )
+        sizes = {key: _value(manifest, key, default)
+                 for key, default in (("n_pos", 200), ("n_neg", 200), ("feature_dim", 8))}
+        for key, size in sizes.items():
+            if size < 1:
+                raise ConfigError(f"dataset.{key} must be >= 1, got {size}")
+        p_intra = _value(manifest, "p_intra", 0.05, float)
+        p_inter = _value(manifest, "p_inter", 0.005, float)
+        if not 0.0 <= p_intra <= 1.0:
+            raise ConfigError(f"dataset.p_intra must lie in [0, 1], got {p_intra!r}")
+        if not 0.0 <= p_inter <= p_intra:
+            raise ConfigError(f"dataset.p_inter must lie in [0, dataset.p_intra = {p_intra!r}], "
+                              f"got {p_inter!r}")
+        return make_sbm_dataset(p_intra=p_intra, p_inter=p_inter,
+                                seed=_value(manifest, "graph_seed", 0), **sizes)
     raise ConfigError(f"dataset.format must be content_cites, jsonl or sbm, got {fmt!r}")
 
 
@@ -390,6 +402,7 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     unknown = sorted(set(manifest) - MANIFEST_KEYS)
     if unknown:
         raise ConfigError(f"unknown dataset keys {unknown}; known: {sorted(MANIFEST_KEYS)}")
+    _value(manifest, "name", "unnamed", str)
     graph, features, labels = load_source(manifest)
     positive_names = manifest.get("positive_classes")
     if not isinstance(positive_names, list) or not positive_names:

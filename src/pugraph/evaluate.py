@@ -14,6 +14,7 @@ pins (METHOD_LOSS), then its own knobs, then the grid's loss_overrides.
 """
 
 import csv
+import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,6 +27,8 @@ from .graph import normalize_adjacency  # noqa: F401  (perfbench wraps it here)
 from .losses import LossConfig
 from .nn import forward_from_propagated
 from .train import TrainConfig, propagate, train
+
+log = logging.getLogger(__name__)
 
 MAIN_METHODS = ("naive", "nnpu", "distpu", "pugnn")
 DEFAULT_RATIOS = (0.001, 0.002, 0.005, 0.01)
@@ -73,57 +76,46 @@ class MetricSummary:
     macro_f1: float  # percent
     f1_pos: float
     f1_neg: float
-    confusion: ConfusionCounts
-    frac_positive: float  # share of every scored node, masked or not, at >= 0.5
+    confusion: ConfusionCounts | None  # None for a failed run
+    frac_positive: float | None  # share of every scored node, masked or not, at >= 0.5
+
+    @property
+    def one_class(self) -> bool:
+        """Whether the model predicts every node positive or every node negative."""
+        return self.frac_positive in (0.0, 1.0)
 
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(MetricSummary):
+    """One scored run of a grid cell; a failed run's metrics are NaN or None."""
+
     cell: dict
     seed: int
-    macro_f1: float
-    f1_pos: float
-    f1_neg: float
-    confusion: ConfusionCounts | None
     wall_time: float
     error: str | None = None
     error_kind: str | None = None  # EXIT_CODES key of the error, if mapped
-    frac_positive: float | None = None  # MetricSummary's; None for a failed run
-
-
-def confusion_counts(y_hat: np.ndarray, true_label: np.ndarray,
-                     eval_mask: np.ndarray) -> ConfusionCounts:
-    """Counts at threshold 0.5 over the masked nodes (positive class = 1)."""
-    pred = np.asarray(y_hat)[eval_mask] >= 0.5
-    truth = np.asarray(true_label)[eval_mask] == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & truth)),
-        fp=int(np.sum(pred & ~truth)),
-        tn=int(np.sum(~pred & ~truth)),
-        fn=int(np.sum(~pred & truth)),
-    )
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
 def macro_f1(y_hat: np.ndarray, true_label: np.ndarray,
              eval_mask: np.ndarray) -> MetricSummary:
     """Unweighted mean of the two per-class F1 scores over the masked nodes,
-    as percentages, and the share of all nodes predicted positive."""
-    eval_mask = np.asarray(eval_mask)
-    if not eval_mask.any():
+    as percentages, from their confusion counts at threshold 0.5 (positive
+    class = 1), and the share of all nodes predicted positive."""
+    if not np.any(eval_mask):
         raise InputError("macro_f1 requires a nonempty evaluation mask")
-    c = confusion_counts(y_hat, true_label, eval_mask)
-    f1_pos = 100.0 * _f1(c.tp, c.fp, c.fn)
-    f1_neg = 100.0 * _f1(c.tn, c.fn, c.fp)
-    return MetricSummary((f1_pos + f1_neg) / 2.0, f1_pos, f1_neg, c,
-                         float((np.asarray(y_hat) >= 0.5).mean()))
+    pred = np.asarray(y_hat) >= 0.5
+    truth = np.asarray(true_label)[eval_mask] == 1
+    tn, fp, fn, tp = np.bincount(2 * truth + pred[eval_mask], minlength=4).tolist()
+    f1_pos = 100.0 * _f1(tp, fp, fn)
+    f1_neg = 100.0 * _f1(tn, fn, fp)
+    return MetricSummary((f1_pos + f1_neg) / 2.0, f1_pos, f1_neg,
+                         ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn), float(pred.mean()))
 
 
 def build_run(prepared: PreparedDataset, loss_settings: dict, train_config: TrainConfig,
@@ -148,9 +140,14 @@ def build_run(prepared: PreparedDataset, loss_settings: dict, train_config: Trai
 
 
 def score(dataset, params) -> MetricSummary:
-    """Test-mask metrics of a model, from the dataset's shared propagation."""
+    """Test-mask metrics of a model, from the dataset's shared propagation;
+    a one-class model is logged as a warning."""
     cache = forward_from_propagated(*propagate(dataset), params)
-    return macro_f1(cache.y_hat, dataset.true_label, dataset.test_mask)
+    metrics = macro_f1(cache.y_hat, dataset.true_label, dataset.test_mask)
+    if metrics.one_class:
+        log.warning("the trained model predicts every node %s",
+                    "positive" if metrics.frac_positive else "negative")
+    return metrics
 
 
 def _cell(manifest: dict, method: str, ratio: float, cell_extra: dict | None) -> dict:
@@ -172,19 +169,16 @@ def run_single(source, method: str, ratio: float, seed: int,
     dataset, cfg = build_run(prepared, {**(loss_overrides or {}), **METHOD_LOSS[method]},
                              train_config or TrainConfig(), ratio, seed)
     params, _ = train(dataset, cfg)
-    metrics = score(dataset, params)
-    return ExperimentResult(_cell(prepared.manifest, method, ratio, cell_extra), seed,
-                            metrics.macro_f1, metrics.f1_pos, metrics.f1_neg,
-                            metrics.confusion, time.perf_counter() - t0,
-                            frac_positive=metrics.frac_positive)
+    return ExperimentResult(**vars(score(dataset, params)),
+                            cell=_cell(prepared.manifest, method, ratio, cell_extra),
+                            seed=seed, wall_time=time.perf_counter() - t0)
 
 
 def _failed(manifest: dict, spec, exc: Exception) -> ExperimentResult:
     method, ratio, seed, _, _, cell_extra = spec
-    return ExperimentResult(_cell(manifest, method, ratio, cell_extra), seed,
-                            float("nan"), float("nan"), float("nan"), None, 0.0,
-                            error=f"{type(exc).__name__}: {exc}",
-                            error_kind=error_kind(exc))
+    nan = float("nan")
+    return ExperimentResult(nan, nan, nan, None, None, _cell(manifest, method, ratio, cell_extra),
+                            seed, 0.0, f"{type(exc).__name__}: {exc}", error_kind(exc))
 
 
 def _run_cell(prepared: PreparedDataset, spec) -> ExperimentResult:
@@ -211,8 +205,7 @@ def _run_jobs(manifest: dict, cells, ratios, seeds, train_config: TrainConfig | 
     """Run every (cell, ratio, seed), in that order, on the manifest prepared
     once (a pool worker gets it once, through its initializer). A cell is
     (method, loss knobs, cell extra); its knobs win over `loss_overrides`."""
-    base = loss_overrides or {}
-    jobs_spec = [(method, r, s, train_config, {**base, **knobs}, extra)
+    jobs_spec = [(method, r, s, train_config, {**(loss_overrides or {}), **knobs}, extra)
                  for method, knobs, extra in cells for r in ratios for s in seeds]
     try:
         prepared = prepare_dataset(manifest)
@@ -247,44 +240,39 @@ def run_sweep(manifest: dict, kind: str, ratios=None, seeds=range(5),
 
 def aggregate(results: list[ExperimentResult]) -> list[dict]:
     """Group by cell, report mean and sample (n-1) std of the macro F1 and
-    the count of one-class runs, whose frac_positive is 0.0 or 1.0.
+    the count of one-class runs (MetricSummary.one_class).
 
     A cell with no successful run has mean and std None (null in JSON).
     """
     groups: dict[tuple, list[ExperimentResult]] = {}
     for r in results:
-        key = tuple(sorted(r.cell.items()))
-        groups.setdefault(key, []).append(r)
+        groups.setdefault(tuple(sorted(r.cell.items())), []).append(r)
     rows = []
     for key in sorted(groups, key=str):
         ok = [r for r in groups[key] if r.error is None]
         scores = np.array([r.macro_f1 for r in ok])
         std = float(scores.std(ddof=1)) if len(ok) > 1 else 0.0
-        row = dict(key)
-        row.update({
+        rows.append({
+            **dict(key),
             "n": len(ok),
             "mean": float(scores.mean()) if ok else None,
             "std": std if ok else None,
-            "one_class_runs": sum(r.frac_positive in (0.0, 1.0) for r in ok),
+            "one_class_runs": sum(r.one_class for r in ok),
             "errors": [r.error for r in groups[key] if r.error is not None],
         })
-        rows.append(row)
     return rows
 
 
 def write_results_csv(path, results: list[ExperimentResult]):
     """CSV with one row per successful run, sorted for reproducible bytes."""
-    extra_keys = sorted({k for r in results for k in r.cell} - {"dataset", "method", "ratio"})
-    fields = (["dataset", "method", "ratio"] + extra_keys
-              + ["seed", "macro_f1", "f1_pos", "f1_neg", "wall_time"])
+    first = ["dataset", "method", "ratio"]
+    cell_keys = first + sorted({k for r in results for k in r.cell} - set(first))
+    scores = ["macro_f1", "f1_pos", "f1_neg", "wall_time"]
     ordered = sorted((r for r in results if r.error is None),
                      key=lambda r: (str(sorted(r.cell.items())), r.seed))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=cell_keys + ["seed"] + scores)
         writer.writeheader()
         for r in ordered:
-            row = {k: r.cell.get(k, "") for k in ["dataset", "method", "ratio"] + extra_keys}
-            row.update({"seed": r.seed, "macro_f1": repr(r.macro_f1),
-                        "f1_pos": repr(r.f1_pos), "f1_neg": repr(r.f1_neg),
-                        "wall_time": repr(r.wall_time)})
-            writer.writerow(row)
+            writer.writerow({**{k: r.cell.get(k, "") for k in cell_keys}, "seed": r.seed,
+                             **{k: repr(getattr(r, k)) for k in scores}})

@@ -11,12 +11,13 @@ import pytest
 import pugraph
 from pugraph import cli, evaluate
 from pugraph.cli import _read_config, main
-from pugraph.data import build_dataset, prepare_dataset
+from pugraph.data import build_dataset, make_sbm_dataset, prepare_dataset
+from pugraph.errors import ConfigError, InputError, NumericError, TrainingAbort, error_kind
 from pugraph.evaluate import MAIN_METHODS, build_run
 from pugraph.graph import DistancePartition, partition_unlabeled
 from pugraph.nn import load_checkpoint
 
-from conftest import small_manifest
+from conftest import save_jsonl, small_manifest
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -132,6 +133,9 @@ class TestTrainCommand:
         assert main(["eval", "--config", str(config_path), "--checkpoint",
                      str(out_dir / "checkpoint.bin"), "--out", str(metrics_path)]) == 0
         assert json.loads(metrics_path.read_text())["frac_positive"] == share
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [r.getMessage() for r in warnings] == [
+            f"the trained model predicts every node {word}"] * 2
 
     def test_a_two_class_model_is_not_warned(self, tmp_path, capsys, caplog):
         config_path = write_config(tmp_path, train={"epochs": 20}, loss={
@@ -204,6 +208,47 @@ class TestTrainCommand:
         assert code == 1
         assert "pugraph-error kind=config exit=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found"), ("{", "is not valid JSON"),
+        ('{"label_ratio": 0.02}', "config is missing the 'dataset' section")])
+    def test_a_config_file_without_a_document_to_run_exits_1(self, tmp_path, capsys,
+                                                              text, message):
+        config_path = tmp_path / "config.json"
+        if text is not None:
+            config_path.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "pugraph-error kind=config exit=1" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["beside the config", "under $PUGRAPH_DATA"])
+    def test_a_relative_data_path_is_found(self, tmp_path, capsys, monkeypatch, where):
+        # the path is neither absolute nor found from the working directory
+        data_dir, config_dir = tmp_path / "data", tmp_path / "configs"
+        for d in (data_dir, config_dir, tmp_path / "cwd"):
+            d.mkdir()
+        graph, features, labels = make_sbm_dataset(20, 20, 0.3, 0.05, 0)
+        save_jsonl(data_dir / "sbm.jsonl", graph, features, labels)
+        if where == "beside the config":
+            config_dir = data_dir
+        else:
+            monkeypatch.setenv(cli.DATA_DIR_ENV, str(data_dir))
+        manifest = {"format": "jsonl", "path": "sbm.jsonl", "positive_classes": ["pos"],
+                    "train_fraction": 0.5}
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["partition", "--config", str(write_config(config_dir, dataset=manifest))]) == 0
+        assert "labeled |V_L| = 1" in capsys.readouterr().out
+
+    def test_an_exception_the_cli_does_not_map_propagates(self, tmp_path, monkeypatch):
+        def broken(dataset, config):
+            raise RuntimeError("not a pugraph error")
+
+        monkeypatch.setattr(cli, "train", broken)
+        with pytest.raises(RuntimeError, match="not a pugraph error"):
+            main(["train", "--config", str(write_config(tmp_path)), "--out",
+                  str(tmp_path / "run")])
+
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("override", [
@@ -217,7 +262,11 @@ class TestTrainCommand:
     "dataset.feature_dim=-1", "dataset.n_pos=200.5", "dataset.n_pos=true",
     'dataset.n_pos="200"', "dataset.train_fracton=0.5",
     'dataset.normalize_features="false"', "dataset.format=xyz", 'train.loss={"alpha":0}',
-    "labl_ratio=0.5", "=5", "dataset.feature_dim=0"])
+    "labl_ratio=0.5", "=5", "dataset.feature_dim=0", "dataset.train_fraction=-0.5",
+    "dataset.train_fraction=0", "dataset.train_fraction=3", "dataset.train_count=0",
+    "dataset.p_intra=2", "dataset.p_inter=0.5", "dataset.n_pos=0", "dataset.name=5",
+    "label_ratio", "label_ratio.x=1", "train.bogus=1", "loss.delta=0", "loss.pi_hat=1.5",
+    "loss.k=0", "train.weight_decay=-1"])
 def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     out = tmp_path / "out"
     argv = ["train"] if command == "train" else ["sweep", "main", "--seeds", "1",
@@ -232,6 +281,14 @@ def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
         # a sweep reads the document as train does and writes nothing if that
         # fails; a bad loss or dataset value fails the cells, which are recorded
         assert out.exists() == override.startswith(("loss.", "dataset."))
+
+
+@pytest.mark.parametrize("exc, kind", [
+    (ConfigError("x"), "config"), (InputError("x"), "data"), (FileNotFoundError("x"), "data"),
+    (NumericError("x"), "numeric"), (TrainingAbort("x", {}, []), "numeric"),
+    (RuntimeError("x"), None)])
+def test_error_kind_maps_each_pugraph_error_and_nothing_else(exc, kind):
+    assert error_kind(exc) == kind
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
@@ -304,7 +361,7 @@ class TestSweepCommand:
         assert rows["pugnn"]["errors"][0].startswith("ConfigError")
         assert all(rows[m]["n"] == 1 for m in MAIN_METHODS if m != "pugnn")
 
-    def test_aggregate_counts_the_one_class_runs(self, tmp_path, capsys, monkeypatch):
+    def test_aggregate_counts_the_one_class_runs(self, tmp_path, capsys, monkeypatch, caplog):
         # naive predicts every node negative and nnpu every node positive; the
         # other cells count as their scored models say (cells run in grid order)
         trained, scored = [], []
@@ -336,6 +393,9 @@ class TestSweepCommand:
                 for m in MAIN_METHODS}
         assert {r["method"]: r["one_class_runs"] for r in rows} == want
         assert want["naive"] == want["nnpu"] == 2 and len(scored) == 8
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == sum(want.values())
+        assert all(m.startswith("the trained model predicts every node ") for m in warned)
 
     def test_missing_content_file_fails_every_cell_and_exits_2(self, tmp_path, capsys):
         # the sweep prepares its dataset once; a failed preparation is every cell's error

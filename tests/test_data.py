@@ -78,6 +78,19 @@ class TestLoadContentCites:
         with pytest.raises(ParseError, match=f"e.content:{lineno}:"):
             load_content_cites(content, tmp_path / "e.cites")
 
+    def test_blank_cites_lines_are_skipped(self, tiny_files):
+        content, cites = tiny_files
+        cites.write_text("\nn1\tn2\n \t\nn2\tn3\n\n")
+        graph, _, _ = load_content_cites(content, cites)
+        assert graph.num_edges == 2
+
+    @pytest.mark.parametrize("row", ["n1\tn2\tn3", "n1"])
+    def test_a_cites_row_without_two_ids_reports_its_line(self, tiny_files, row):
+        content, cites = tiny_files
+        cites.write_text(f"n1\tn2\n\n{row}\n")
+        with pytest.raises(ParseError, match="tiny.cites:3: cites row needs exactly two ids"):
+            load_content_cites(content, cites)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         (tmp_path / "f.content").write_text("n1\t1\tml\nn1\t0\tml\n")
         (tmp_path / "f.cites").write_text("")
@@ -387,6 +400,12 @@ class TestJsonl:
         with pytest.raises(ParseError, match="empty.jsonl:2: 'features' must not be empty"):
             load_jsonl(path)
 
+    def test_a_file_with_no_records_is_rejected(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n \n")
+        with pytest.raises(InputError, match="blank.jsonl: no records"):
+            load_jsonl(path)
+
     def test_invalid_utf8_is_a_parse_error_naming_its_line(self, tmp_path):
         path = tmp_path / "u.jsonl"
         path.write_bytes(b'{"id": "a", "features": [1], "label": "x", "neighbors": []}\n'
@@ -494,6 +513,11 @@ class TestPuSplit:
     def test_no_positive_training_nodes_rejected(self):
         with pytest.raises(InputError):
             make_pu_split(np.zeros(10, dtype=int), np.ones(10, dtype=bool), 0.1, 0)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5])
+    def test_a_ratio_outside_0_1_rejected(self, ratio):
+        with pytest.raises(InputError, match="label_ratio must lie in"):
+            make_pu_split(np.ones(10, dtype=int), np.ones(10, dtype=bool), ratio, 0)
 
 
 class TestNormalizeFeatures:

@@ -6,6 +6,7 @@ import pytest
 
 from pugraph import evaluate
 from pugraph.data import build_dataset, prepare_dataset
+from pugraph.errors import InputError
 from pugraph.evaluate import (SWEEPS, ExperimentResult, aggregate, macro_f1, run_grid,
                               run_sweep, score)
 from pugraph.graph import normalize_adjacency
@@ -40,11 +41,26 @@ def test_frac_positive_counts_every_node_not_only_the_masked_ones():
     assert (metrics.confusion.tp, metrics.confusion.fp) == (0, 0)
 
 
+def test_confusion_counts_equal_the_four_masked_sums():
+    rng = np.random.default_rng(5)
+    y, label, mask = rng.random(200), rng.integers(0, 2, 200), rng.random(200) < 0.7
+    pred, truth = y[mask] >= 0.5, label[mask] == 1
+    c = macro_f1(y, label, mask).confusion
+    assert (c.tp, c.fp, c.tn, c.fn) == (np.sum(pred & truth), np.sum(pred & ~truth),
+                                        np.sum(~pred & ~truth), np.sum(~pred & truth))
+    assert c.total == mask.sum()
+
+
+def test_macro_f1_rejects_an_empty_mask():
+    with pytest.raises(InputError, match="nonempty evaluation mask"):
+        macro_f1(np.full(3, 0.9), np.ones(3, dtype=int), np.zeros(3, dtype=bool))
+
+
 def test_aggregate_counts_the_one_class_runs_of_each_cell():
     def run(method, seed, f1, frac_positive, error=None):
-        return ExperimentResult({"dataset": "d", "method": method, "ratio": 0.1}, seed,
-                                f1, f1, f1, None, 1.0, error=error,
-                                frac_positive=frac_positive)
+        return ExperimentResult(f1, f1, f1, None, frac_positive,
+                                {"dataset": "d", "method": method, "ratio": 0.1}, seed,
+                                1.0, error=error)
 
     nan = float("nan")
     rows = aggregate([

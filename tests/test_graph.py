@@ -59,6 +59,10 @@ class TestBuildGraph:
             assert np.array_equal(other.indices, graph.indices)
             assert other.indptr.dtype == other.indices.dtype == np.int64
 
+    def test_no_nodes_rejected(self):
+        with pytest.raises(InputError, match="num_nodes must be >= 1, got 0"):
+            build_graph([], 0)
+
     def test_out_of_range_edge_names_pair(self):
         with pytest.raises(InputError, match=r"\(1, 5\)"):
             build_graph([(0, 1), (1, 5)], 3)
@@ -99,6 +103,11 @@ class TestNormalizeAdjacency:
         g = random_graph(np.random.default_rng(2), 20, 0.2)
         na = normalize_adjacency(g)
         assert np.array_equal(np.diff(na.indptr), g.degrees + 1)
+
+    def test_matmul_rejects_an_operand_of_another_row_count(self):
+        na = normalize_adjacency(build_graph([(0, 1)], 3))
+        with pytest.raises(InputError, match="dense operand has 2 rows, graph has 3 nodes"):
+            na.matmul(np.ones((2, 4)))
 
     def test_matmul_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -524,3 +533,8 @@ class TestGenerateSbm:
             generate_sbm(10, 10, 1.5, 0.1, 0)
         with pytest.raises(InputError):
             generate_sbm(10, 10, 0.1, 0.5, 0)
+
+    @pytest.mark.parametrize("n_pos, n_neg", [(0, 10), (10, 0)])
+    def test_an_empty_block_is_rejected(self, n_pos, n_neg):
+        with pytest.raises(InputError, match="both blocks need at least one node"):
+            generate_sbm(n_pos, n_neg, 0.1, 0.05, 0)

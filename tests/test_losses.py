@@ -79,6 +79,12 @@ class TestNaiveLoss:
         with pytest.raises(InputError):
             naive_loss(np.full(4, 0.5), np.zeros(4, dtype=bool))
 
+    @pytest.mark.parametrize("mask", [np.ones(4, dtype=int), np.ones(3, dtype=bool),
+                                      np.ones((4, 1), dtype=bool)])
+    def test_a_mask_that_is_no_boolean_vector_of_the_scores_length_rejected(self, mask):
+        with pytest.raises(InputError, match="boolean vector of length 4"):
+            naive_loss(np.full(4, 0.5), mask)
+
 
 class TestNnpuLoss:
     def test_half_scores_half_prior(self):
@@ -169,6 +175,10 @@ class TestDistpuLoss:
             assert_grad_close(grad, numeric, label="distpu")
             checked += 1
 
+    def test_every_node_labeled_rejected(self):
+        with pytest.raises(InputError, match="nonempty unlabeled set"):
+            distpu_loss(np.full(3, 0.5), np.ones(3, dtype=bool), 0.5)
+
 
 class TestDistanceAwareLoss:
     def test_worked_example(self):
@@ -235,6 +245,11 @@ class TestDistanceAwareLoss:
                 lambda: distance_aware_loss(y, part, ph, pb)[0].total, y)
             assert_grad_close(grad, numeric, label="distance_aware")
             checked += 1
+
+    def test_no_labeled_nodes_rejected(self):
+        part = make_partition(np.empty(0, dtype=np.int64), [0, 1], [2])
+        with pytest.raises(InputError, match="require labeled nodes"):
+            distance_aware_loss(np.full(3, 0.5), part, 0.6, 0.3)
 
     def test_both_subsets_empty_rejected(self):
         part = DistancePartition(np.array([0]), np.empty(0, dtype=np.int64),

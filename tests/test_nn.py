@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pugraph.errors import ConfigError, InputError
+from pugraph.errors import ConfigError, InputError, NumericError
 from pugraph.graph import build_graph, normalize_adjacency
 from pugraph.nn import (HIDDEN_DIM, forward_from_propagated, gcn_backward,
                         gcn_forward, init_params, load_checkpoint, save_checkpoint,
@@ -31,6 +31,10 @@ class TestInitParams:
     def test_different_seeds_differ(self):
         a, b = init_params(9, 3), init_params(9, 4)
         assert not np.array_equal(a["W1"], b["W1"])
+
+    def test_no_features_rejected(self):
+        with pytest.raises(ConfigError, match="feature_dim must be >= 1, got 0"):
+            init_params(0, 0)
 
     def test_glorot_bounds_and_zero_biases(self):
         p = init_params(25, 0)
@@ -103,6 +107,12 @@ class TestForward:
         with pytest.raises(ConfigError, match="features have 5 columns, W1 expects 4"):
             forward_from_propagated(adj, np.zeros((2, 5)), init_params(4, 0))
 
+    def test_a_non_finite_propagation_is_a_numeric_error(self):
+        adj = normalize_adjacency(build_graph([(0, 1)], 2))
+        ax = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(NumericError, match="non-finite values produced in layer1"):
+            forward_from_propagated(adj, ax, init_params(2, 0))
+
 
 class TestFirstLayerProducts:
     """The first layer's products run transposed; they must stay the plain ones."""
@@ -146,6 +156,16 @@ class TestBackward:
         grads = gcn_backward(cache, np.zeros(6), np.zeros_like(cache.z), params)
         for grad in grads.values():
             assert not grad.any()
+
+    @pytest.mark.parametrize("bad", ["d_yhat", "d_z"])
+    def test_an_upstream_gradient_of_the_wrong_shape_rejected(self, bad):
+        adj = normalize_adjacency(build_graph([(0, 1), (1, 2)], 3))
+        params = init_params(2, 0)
+        cache = gcn_forward(adj, np.ones((3, 2)), params)
+        upstream = {"d_yhat": np.zeros(3), "d_z": np.zeros_like(cache.z)}
+        upstream[bad] = upstream[bad][:-1]
+        with pytest.raises(ConfigError, match="upstream gradient shapes"):
+            gcn_backward(cache, upstream["d_yhat"], upstream["d_z"], params)
 
     def test_matches_finite_differences(self):
         # scalar probe L = a . y_hat + <B, Z> exercises both upstream paths

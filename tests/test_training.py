@@ -374,6 +374,27 @@ class TestTrain:
             assert last_good[name].tobytes() == arr.tobytes()
         assert [r["epoch"] for r in info.value.records] == [1, 2, 3, 4]
 
+    def test_a_non_finite_loss_aborts_with_the_last_good_parameters(self, monkeypatch):
+        ds = build_dataset(small_manifest(), 0.02, 0, 2)
+        cfg = TrainConfig(epochs=10, seed=3,
+                          loss=LossConfig(kind="distance_aware", delta=2, k=5))
+        after_three, _ = train(ds, replace(cfg, epochs=3))
+        objective, calls = train_module.combined_objective, []
+
+        def nan_at_epoch_5(*args, **kwargs):
+            calls.append(None)
+            value, grad_y, grad_z = objective(*args, **kwargs)
+            if len(calls) == 5:
+                value.total = float("nan")
+            return value, grad_y, grad_z
+
+        monkeypatch.setattr(train_module, "combined_objective", nan_at_epoch_5)
+        with pytest.raises(TrainingAbort, match="non-finite loss nan at epoch 5") as info:
+            train(ds, cfg)
+        for name, arr in after_three.items():
+            assert info.value.last_good[name].tobytes() == arr.tobytes()
+        assert [r["epoch"] for r in info.value.records] == [1, 2, 3, 4]
+
     def test_partly_clipped_run_is_not_divergence(self):
         # divergence means every score on the clip; this run ends with some,
         # not all, of its scores there and must complete
