@@ -8,8 +8,10 @@ Two on-disk formats are supported:
 - JSON lines, one object per node:
   `{"id": str, "features": [num], "label": str, "neighbors": [str]}`.
 
-Both loaders produce the same triple (Graph, features, class labels) with
-node order equal to file order and the adjacency symmetrized.
+Both loaders read a file's lines only through `_lines`, so a data error names
+the first bad line in file order, whether a malformed row or a byte that is not
+UTF-8. Both produce the same triple (Graph, features, class labels) with node
+order equal to file order and the adjacency symmetrized.
 
 `prepare_dataset` does once per manifest what no run draws: load, binarize,
 normalize, split. Every loader returns a new feature array, and
@@ -22,8 +24,9 @@ builds on first use (`train.propagate`) and scoring reuses.
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -74,43 +77,34 @@ class PUDataset:
         return self.graph.num_nodes
 
 
-def _utf8(loader):
-    """The loader, where a byte that is not UTF-8 is a ParseError naming its file
-    line; the files are scanned for it as bytes only after a decode failed."""
-    @wraps(loader)
-    def load(*paths):
-        try:
-            return loader(*paths)
-        except UnicodeDecodeError as exc:
-            error = ParseError(f"not valid UTF-8: {exc.reason}")
-        for path in paths:
-            with open(path, "rb") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise ParseError(f"byte 0x{line[exc.start]:02x} is not valid UTF-8",
-                                         str(path), lineno) from None
-        raise error
-    return load
+def _lines(path):
+    """Yield (line number, text) for each line of a dataset file, split where
+    text mode splits: at LF, CRLF and CR. A byte that is not UTF-8, which
+    surrogateescape reads as U+DC80-U+DCFF, is a ParseError naming its line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+                raise ParseError(f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8",
+                                 str(path), lineno)
+            yield lineno, line
 
 
 def _content_error(path, width: int, read, exc) -> ParseError:
-    """The ParseError naming the file line of the first row `read` rejects; run
-    only after a failed parse, as loadtxt's row count skips blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            found = len(line.split())
-            if not found:
-                continue
-            if found < 3:
-                return ParseError("content row needs id, >=1 feature, class", str(path), lineno)
-            if found != width:
-                return ParseError(f"expected {width} columns, found {found}", str(path), lineno)
-            try:
-                read([line])
-            except ValueError:
-                return ParseError(f"non-numeric feature value: {exc}", str(path), lineno)
+    """The ParseError naming the file line of the first row `read` rejects (or
+    _lines raises at an earlier byte that is not UTF-8); run only after a
+    failed parse, as loadtxt's row count skips blank lines."""
+    for lineno, line in _lines(path):
+        found = len(line.split())
+        if not found:
+            continue
+        if found < 3:
+            return ParseError("content row needs id, >=1 feature, class", str(path), lineno)
+        if found != width:
+            return ParseError(f"expected {width} columns, found {found}", str(path), lineno)
+        try:
+            read([line])
+        except ValueError:
+            return ParseError(f"non-numeric feature value: {exc}", str(path), lineno)
     return ParseError(f"unreadable content file: {exc}", str(path))
 
 
@@ -165,14 +159,20 @@ def _text_rows(path, width: int):
     read = partial(np.loadtxt, dtype=dtype, comments=None, encoding="utf-8", ndmin=1)
     try:
         rows = read(path)
-    except UnicodeDecodeError:
-        raise  # _utf8 finds its line; _content_error would decode the file again
-    except ValueError as exc:
+    except ValueError as exc:  # a UnicodeDecodeError too: _lines finds its line
         raise _content_error(path, width, read, exc) from None
     return rows["id"], rows["x"], rows["label"].tolist()
 
 
-@_utf8
+def _index(ids, path) -> dict:
+    """Each node id's row; a repeated id is an InputError naming the first."""
+    index = {}
+    for i, node_id in enumerate(ids):
+        if index.setdefault(node_id, i) != i:
+            raise InputError(f"{path}: duplicate node id {node_id!r}")
+    return index
+
+
 def load_content_cites(content_path, cites_path):
     """Parse the citation format; returns (Graph, features, class labels).
 
@@ -181,33 +181,25 @@ def load_content_cites(content_path, cites_path):
     np.loadtxt pass, which reads every row; each row must have the first
     row's column count. Both give the same float64 (n, d) features.
     """
-    with open(content_path, "r", encoding="utf-8") as fh:
-        first = next((fields for fields in map(str.split, fh) if fields), [])
+    first = next(filter(None, (line.split() for _, line in _lines(content_path))), [])
     width = len(first)
     if not width:
         raise InputError(f"{content_path}: content file has no rows")
-    rows = None
-    if width >= 3 and set(first[1:-1]) <= {"0", "1"}:
-        rows = _binary_rows(content_path, width - 2)
-    if rows is None:
-        rows = _text_rows(content_path, width)
-    ids, features, labels = rows
-    index = {node_id: i for i, node_id in enumerate(ids)}
-    if len(index) != len(ids):
-        raise InputError(f"{content_path}: duplicate node ids in content file")
+    rows = width >= 3 and set(first[1:-1]) <= {"0", "1"} and _binary_rows(content_path, width - 2)
+    ids, features, labels = rows or _text_rows(content_path, width)
+    index = _index(ids, content_path)
     edges, skipped = [], 0
-    with open(cites_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ParseError("cites row needs exactly two ids", str(cites_path), lineno)
-            a, b = fields
-            if a not in index or b not in index:
-                skipped += 1
-                continue
-            edges.append((index[a], index[b]))
+    for lineno, line in _lines(cites_path):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            raise ParseError("cites row needs exactly two ids", str(cites_path), lineno)
+        a, b = fields
+        if a not in index or b not in index:
+            skipped += 1
+            continue
+        edges.append((index[a], index[b]))
     if skipped:
         log.warning("%s: skipped %d cites rows referencing unknown node ids",
                     cites_path, skipped)
@@ -215,42 +207,37 @@ def load_content_cites(content_path, cites_path):
     return graph, features, labels
 
 
-@_utf8
 def load_jsonl(path):
     """Parse the JSON-lines interchange format; same contract as load_content_cites."""
     ids, rows, labels, neighbor_lists = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", str(path), lineno) from None
-            for key in ("id", "features", "label", "neighbors"):
-                if not isinstance(obj, dict) or key not in obj:
-                    raise ParseError(f"missing key {key!r}", str(path), lineno)
-                if key in ("features", "neighbors") and not isinstance(obj[key], list):
-                    raise ParseError(f"{key!r} must be a list", str(path), lineno)
-            try:
-                row = [float(x) for x in obj["features"]]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"non-numeric feature value: {exc}", str(path), lineno) from None
-            if rows and len(row) != len(rows[0]):
-                raise ParseError(f"expected {len(rows[0])} features, found {len(row)}",
-                                 str(path), lineno)
-            if not row:  # the first record's count binds every other record
-                raise ParseError("'features' must not be empty", str(path), lineno)
-            ids.append(str(obj["id"]))
-            rows.append(row)
-            labels.append(str(obj["label"]))
-            neighbor_lists.append([str(x) for x in obj["neighbors"]])
+    for lineno, line in _lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", str(path), lineno) from None
+        for key in ("id", "features", "label", "neighbors"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ParseError(f"missing key {key!r}", str(path), lineno)
+            if key in ("features", "neighbors") and not isinstance(obj[key], list):
+                raise ParseError(f"{key!r} must be a list", str(path), lineno)
+        try:
+            row = [float(x) for x in obj["features"]]
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"non-numeric feature value: {exc}", str(path), lineno) from None
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} features, found {len(row)}",
+                             str(path), lineno)
+        if not row:  # the first record's count binds every other record
+            raise ParseError("'features' must not be empty", str(path), lineno)
+        ids.append(str(obj["id"]))
+        rows.append(row)
+        labels.append(str(obj["label"]))
+        neighbor_lists.append([str(x) for x in obj["neighbors"]])
     if not ids:
         raise InputError(f"{path}: no records")
-    index = {}
-    for i, node_id in enumerate(ids):
-        if index.setdefault(node_id, i) != i:
-            raise InputError(f"{path}: duplicate node id {node_id!r}")
+    index = _index(ids, path)
     edges = []
     for i, nbrs in enumerate(neighbor_lists):
         for nbr in nbrs:

@@ -53,21 +53,20 @@ class LossConfig:
     def __post_init__(self):
         check_types(self, "loss")
         if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
+            raise ConfigError(f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         for name in ("pi_p", "pi_hat", "pi_breve"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {v}")
+                raise ConfigError(f"loss.{name} must lie in (0, 1), got {v}")
         if self.kind == "distance_aware" and not self.pi_hat > self.pi_breve:
-            raise ConfigError(
-                f"distance_aware requires pi_hat > pi_breve, got {self.pi_hat} <= {self.pi_breve}"
-            )
+            raise ConfigError(f"loss.pi_hat must exceed loss.pi_breve for distance_aware, "
+                              f"got {self.pi_hat} <= {self.pi_breve}")
         if self.delta < 1:
-            raise ConfigError(f"delta must be >= 1, got {self.delta}")
+            raise ConfigError(f"loss.delta must be >= 1, got {self.delta}")
         if self.alpha < 0.0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+            raise ConfigError(f"loss.alpha must be >= 0, got {self.alpha}")
         if self.alpha > 0.0 and self.k < 1:
-            raise ConfigError(f"k must be >= 1 when alpha > 0, got {self.k}")
+            raise ConfigError(f"loss.k must be >= 1 when loss.alpha > 0, got {self.k}")
 
 
 @dataclass

@@ -40,11 +40,11 @@ class TrainConfig:
     def __post_init__(self):
         check_types(self, "train")
         if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"train.epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"train.learning_rate must be > 0, got {self.learning_rate}")
         if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ConfigError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
 
 
 _SLOTS_PER_EDGE = 32  # sampler: membership-table slots per directed edge

@@ -250,23 +250,40 @@ class TestTrainCommand:
                   str(tmp_path / "run")])
 
 
+# overrides that name no field or replace a section, each with the text its error must hold
+STRUCTURAL_OVERRIDES = {
+    "loss=null": "the 'loss' section must be a JSON object, got None",
+    "train=null": "the 'train' section must be a JSON object, got None",
+    "loss.bogus=1": "bad 'loss' section: LossConfig.__init__() got an unexpected keyword "
+                    "argument 'bogus'",
+    "train.bogus=1": "bad 'train' section: TrainConfig.__init__() got an unexpected keyword "
+                     "argument 'bogus'",
+    "=5": "unknown config keys ['']",
+    "label_ratio": "override 'label_ratio' must look like dotted.key=value",
+    "label_ratio.x=1": "label_ratio must be a finite number, got {'x': 1}",
+    "labl_ratio=0.5": "unknown config keys ['labl_ratio']",
+    "dataset.train_fracton=0.5": "unknown dataset keys ['train_fracton']",
+    'train.loss={"alpha":0}': "train.loss: loss settings belong in the top-level 'loss' section",
+    "dataset.positive_classes=5": "dataset manifest must list positive_classes, got 5",
+    'dataset.positive_classes="pos"': "dataset manifest must list positive_classes, got 'pos'",
+}
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("override", [
-    "loss.delta=abc", "label_ratio=abc", "loss=null", "train=null", "loss.bogus=1",
-    "train.epochs=abc", "dataset.n_pos=abc", "dataset.train_fraction=abc",
-    "dataset.split_seed=abc", "dataset.positive_classes=5",
-    'dataset.positive_classes="pos"', "loss.alpha=NaN", "loss.alpha=Infinity",
-    "train.learning_rate=NaN", "train.weight_decay=NaN", "label_ratio=true",
-    'label_ratio="0.1"', "label_ratio=2", "label_ratio=0", "label_ratio=-0.5",
-    "label_ratio=NaN", "train.seed=-1", "dataset.split_seed=-1", "dataset.graph_seed=-1",
-    "dataset.feature_dim=-1", "dataset.n_pos=200.5", "dataset.n_pos=true",
-    'dataset.n_pos="200"', "dataset.train_fracton=0.5",
-    'dataset.normalize_features="false"', "dataset.format=xyz", 'train.loss={"alpha":0}',
-    "labl_ratio=0.5", "=5", "dataset.feature_dim=0", "dataset.train_fraction=-0.5",
+    "loss.delta=abc", "label_ratio=abc", "train.epochs=abc", "dataset.n_pos=abc",
+    "dataset.train_fraction=abc", "dataset.split_seed=abc", "loss.alpha=NaN",
+    "loss.alpha=Infinity", "train.learning_rate=NaN", "train.weight_decay=NaN",
+    "label_ratio=true", 'label_ratio="0.1"', "label_ratio=2", "label_ratio=0",
+    "label_ratio=-0.5", "label_ratio=NaN", "train.seed=-1", "dataset.split_seed=-1",
+    "dataset.graph_seed=-1", "dataset.feature_dim=-1", "dataset.n_pos=200.5",
+    "dataset.n_pos=true", 'dataset.n_pos="200"', 'dataset.normalize_features="false"',
+    "dataset.format=xyz", "dataset.feature_dim=0", "dataset.train_fraction=-0.5",
     "dataset.train_fraction=0", "dataset.train_fraction=3", "dataset.train_count=0",
     "dataset.p_intra=2", "dataset.p_inter=0.5", "dataset.n_pos=0", "dataset.name=5",
-    "label_ratio", "label_ratio.x=1", "train.bogus=1", "loss.delta=0", "loss.pi_hat=1.5",
-    "loss.k=0", "train.weight_decay=-1"])
+    "loss.delta=0", "loss.pi_hat=1.5", "loss.k=0", "train.weight_decay=-1",
+    "loss.pi_breve=0.7", "loss.alpha=-1", "train.epochs=0", "train.learning_rate=0",
+    *STRUCTURAL_OVERRIDES])
 def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     out = tmp_path / "out"
     argv = ["train"] if command == "train" else ["sweep", "main", "--seeds", "1",
@@ -276,7 +293,8 @@ def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     assert code == 1
     err = capsys.readouterr().err
     assert "pugraph-error kind=config exit=1" in err
-    assert override.split("=")[0].split(".")[-1] in err  # names the field
+    # a value override's error names its full dotted key
+    assert STRUCTURAL_OVERRIDES.get(override, override.split("=")[0]) in err
     if command == "sweep":
         # a sweep reads the document as train does and writes nothing if that
         # fails; a bad loss or dataset value fails the cells, which are recorded

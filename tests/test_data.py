@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestLoadContentCites:
     def test_duplicate_ids_rejected(self, tmp_path):
         (tmp_path / "f.content").write_text("n1\t1\tml\nn1\t0\tml\n")
         (tmp_path / "f.cites").write_text("")
-        with pytest.raises(InputError, match="duplicate"):
+        with pytest.raises(InputError, match="f.content: duplicate node id 'n1'"):
             load_content_cites(tmp_path / "f.content", tmp_path / "f.cites")
 
     def test_values_bit_equal_to_python_float(self, tmp_path):
@@ -202,9 +203,8 @@ class TestLoadContentCites:
         ("content", 3000),  # past the first 8 KB that a text read decodes at once
         ("cites", 2),
     ])
-    def test_invalid_utf8_is_a_parse_error_naming_its_file_line(self, tmp_path, monkeypatch,
-                                                               bad_file, rows_before):
-        monkeypatch.setattr("pugraph.data._content_error", None)  # a decode error never reaches it
+    def test_invalid_utf8_is_a_parse_error_naming_its_file_line(self, tmp_path, bad_file,
+                                                               rows_before):
         rows = [f"n{i}\t1\t0\tml\n".encode() for i in range(rows_before)]
         files = {"content": b"".join(rows + [b"nx\t1\t\xff\tml\n"]), "cites": b"n0\tn0\n"}
         if bad_file == "cites":
@@ -425,6 +425,63 @@ class TestJsonl:
         oracle = np.array([[float(x) for x in json.loads(line)["features"]]
                            for line in path.read_text().splitlines()])
         assert np.array_equal(features.view(np.int64), oracle.view(np.int64))
+
+
+# LF files of every reader: a float token sends the content file to np.loadtxt;
+# \x1c and \x85 split str.splitlines' lines but no line of a text-mode read
+EOL_CONTENT = "n1\t1.5\t0\tml\n\nn2\t0\x1c1\ttheory\nn3\t1\t1\tml\n"
+EOL_CITES = "n1\tn2\n\nn2\x1cn3\n"
+EOL_JSONL = "".join(json.dumps({"id": f"n{i}", "features": [i, 1], "label": label,
+                               "neighbors": [f"n{(i + 1) % 3}"]}, ensure_ascii=False) + "\n"
+                    for i, label in enumerate(["ml", "theory\x85\u2028", "ml"]))
+
+
+class TestLineReader:
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    def test_every_line_ending_loads_as_lf_does(self, tmp_path, eol):
+        def load(ending):
+            for name, text in (("e.content", EOL_CONTENT), ("e.cites", EOL_CITES),
+                               ("e.jsonl", EOL_JSONL)):
+                (tmp_path / name).write_bytes(text.replace("\n", ending).encode())
+            return [load_content_cites(tmp_path / "e.content", tmp_path / "e.cites"),
+                    load_jsonl(tmp_path / "e.jsonl")]
+
+        want = load("\n")
+        assert want[0][0].num_edges == 2 and want[1][2][1] == "theory\x85\u2028"
+        for (graph, features, labels), (graph2, features2, labels2) in zip(want, load(eol)):
+            assert np.array_equal(graph.indptr, graph2.indptr)
+            assert np.array_equal(graph.indices, graph2.indices)
+            assert np.array_equal(features, features2)
+            assert labels == labels2
+
+    @pytest.mark.parametrize("content, cites, message", [
+        # a short row on line 2 comes before a bad byte on line 4
+        (b"n1\t1\t0\tml\nn2\t1\tml\nn3\t0\t1\tml\nn4\t\xff\t1\tml\n", b"",
+         "f.content:2: expected 4 columns, found 3"),
+        # three ids on line 1 come before a bad byte on line 2
+        (CONTENT_3.encode(), b"n1\tn2\tn3\nn1\t\xff\n", "f.cites:1: cites row needs exactly two ids"),
+        # a first row with a bad byte is found by the column sniff
+        (b"n\xff1\t1\t0\tml\n", b"", "f.content:1: byte 0xff is not valid UTF-8"),
+        # a byte that starts a 3-byte sequence its next byte breaks is the bad one
+        (CONTENT_3.encode(), b"n1\tn2\nn\xe2\x28\xa1\tn1\n",
+         "f.cites:2: byte 0xe2 is not valid UTF-8"),
+        (b"n1\t1\t0\tml\nn\xe2\x28\xa1\t1\t1\tml\n", b"",
+         "f.content:2: byte 0xe2 is not valid UTF-8"),
+    ], ids=["short row, then bad byte", "three ids, then bad byte", "bad byte in first row",
+            "broken sequence in cites", "broken sequence in content"])
+    def test_a_citation_error_names_the_first_fault_in_file_order(self, tmp_path, content,
+                                                                  cites, message):
+        (tmp_path / "f.content").write_bytes(content)
+        (tmp_path / "f.cites").write_bytes(cites)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_content_cites(tmp_path / "f.content", tmp_path / "f.cites")
+
+    def test_a_jsonl_error_names_the_first_fault_in_file_order(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(b'{"id": "a", "label": "x", "neighbors": []}\n'
+                         b'{"id": "\xff", "features": [1], "label": "x", "neighbors": []}\n')
+        with pytest.raises(ParseError, match="f.jsonl:1: missing key 'features'"):
+            load_jsonl(path)
 
 
 def reference_binary_labels(labels, positive_classes):
