@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .data import prepare_dataset
 from .errors import EXIT_CODES, ConfigError, TrainingAbort, check_value, error_kind
-from .evaluate import (SWEEPS, aggregate, build_run, run_sweep, score,
+from .evaluate import (SWEEPS, aggregate, build_run, loss_config, run_sweep, score,
                        write_results_csv)
 from .nn import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train
@@ -135,7 +135,9 @@ def _read_config(config: dict, config_path: str):
         train_config = TrainConfig(**train)
     except TypeError as exc:
         raise ConfigError(f"bad 'train' section: {exc}") from None
-    return manifest, label_ratio, _section(config, "loss"), train_config
+    loss = _section(config, "loss")
+    loss_config(loss, 0.5)  # checked as a run would be; any prior in (0, 1) passes "auto"
+    return manifest, label_ratio, loss, train_config
 
 
 def _setup_run(config: dict, config_path: str):
@@ -244,7 +246,7 @@ def cmd_partition(args) -> int:
     if unreachable:
         print(f"  unreachable: {unreachable}")
     print("delta  |near V_U|  |far V_U|")
-    unlabeled = dist[~dataset.labeled_mask]  # min_dist does not depend on delta
+    unlabeled = dist[dist > 0]  # min_dist does not depend on delta
     for delta in deltas:
         near = int(np.sum(unlabeled <= delta))
         print(f"{delta:>5}  {near:>10}  {unlabeled.size - near:>9}")

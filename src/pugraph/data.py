@@ -47,8 +47,7 @@ class PreparedDataset:
     graph: Graph
     features: np.ndarray        # num_nodes x feature_dim, float64
     true_label: np.ndarray      # per-node {0, 1}
-    train_mask: np.ndarray      # bool
-    test_mask: np.ndarray       # bool, complement of train_mask
+    test_mask: np.ndarray       # bool; the train split is its complement
     propagation: tuple | None = None
 
     @property
@@ -62,13 +61,11 @@ class PUDataset:
     """Everything one training run consumes; immutable by convention."""
 
     prepared: PreparedDataset
-    labeled_mask: np.ndarray    # bool; the known positives, subset of train_mask
-    partition: DistancePartition
+    partition: DistancePartition  # labeled: the known positives, all in the train split
 
     graph = property(lambda self: self.prepared.graph)
     features = property(lambda self: self.prepared.features)
     true_label = property(lambda self: self.prepared.true_label)
-    train_mask = property(lambda self: self.prepared.train_mask)
     test_mask = property(lambda self: self.prepared.test_mask)
     positive_prior = property(lambda self: self.prepared.positive_prior)
 
@@ -405,17 +402,16 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     if _value(manifest, "normalize_features", True, bool):
         features = normalize_features(features)  # in place: the loader's array is its own
     features = np.ascontiguousarray(features)  # a content file's is a strided view
-    train_mask, test_mask = make_train_test_split(
+    _, test_mask = make_train_test_split(
         graph.num_nodes, resolve_train_count(graph.num_nodes, manifest),
         _value(manifest, "split_seed", 0))
-    return PreparedDataset(dict(manifest), graph, features, binary, train_mask, test_mask)
+    return PreparedDataset(dict(manifest), graph, features, binary, test_mask)
 
 
 def build_dataset(source, label_ratio: float, seed: int, delta: int) -> PUDataset:
     """Draw one run's PUDataset from a PreparedDataset or a manifest (which is
     prepared first): the PU mask with `seed`, the partition with `delta`."""
     prepared = source if isinstance(source, PreparedDataset) else prepare_dataset(source)
-    labeled_mask = make_pu_split(prepared.true_label, prepared.train_mask,
-                                 label_ratio, seed)
-    partition = partition_unlabeled(prepared.graph, np.flatnonzero(labeled_mask), delta)
-    return PUDataset(prepared, labeled_mask, partition)
+    labeled = np.flatnonzero(make_pu_split(prepared.true_label, ~prepared.test_mask,
+                                           label_ratio, seed))
+    return PUDataset(prepared, partition_unlabeled(prepared.graph, labeled, delta))

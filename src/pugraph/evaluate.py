@@ -118,23 +118,27 @@ def macro_f1(y_hat: np.ndarray, true_label: np.ndarray,
                          ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn), float(pred.mean()))
 
 
+def loss_config(loss_settings: dict, positive_prior: float) -> LossConfig:
+    """The LossConfig of a loss section (absent keys take the defaults), with
+    pi_p "auto" or absent set to `positive_prior`. Raises ConfigError for an
+    unknown key or a value of the wrong type or out of range."""
+    section = dict(loss_settings)
+    if section.get("pi_p") in (None, "auto"):
+        section["pi_p"] = positive_prior
+    try:
+        return LossConfig(**section)
+    except TypeError as exc:
+        raise ConfigError(f"bad 'loss' section: {exc}") from None
+
+
 def build_run(prepared: PreparedDataset, loss_settings: dict, train_config: TrainConfig,
               ratio: float, seed: int) -> tuple[PUDataset, TrainConfig]:
     """One run: the PU mask drawn at `ratio` with `seed`, its partition at the
-    loss's delta, and `train_config` with `seed` and the LossConfig of
-    `loss_settings` (absent keys take the defaults).
-
-    pi_p "auto" or absent becomes the true positive rate of `prepared`, an
-    oracle read from the true labels. Raises ConfigError for an unknown key
-    or a value of the wrong type or out of range.
+    loss's delta, and `train_config` with `seed` and the `loss_config` of
+    `loss_settings`, whose pi_p "auto" is the true positive rate of
+    `prepared`, an oracle read from the true labels.
     """
-    section = dict(loss_settings)
-    if section.get("pi_p") in (None, "auto"):
-        section["pi_p"] = prepared.positive_prior
-    try:
-        loss = LossConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad 'loss' section: {exc}") from None
+    loss = loss_config(loss_settings, prepared.positive_prior)
     return (build_dataset(prepared, ratio, seed, loss.delta),
             replace(train_config, seed=seed, loss=loss))
 

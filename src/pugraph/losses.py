@@ -4,9 +4,12 @@ Every operation returns its value together with exact gradients w.r.t. the
 per-node scores y_hat (and the representations Z for the regularizer). The
 |.| subgradient at a kink is 0, as is the clamped branch of the nnPU max.
 
-distpu_loss and distance_aware_loss share one distribution-matching core, so
-the distance-aware loss with an empty far set and pi_hat = pi_p reduces to
-the Dist-PU loss bit-exactly, not just approximately.
+Every PU loss reads the run's DistancePartition: V_L is partition.labeled and
+V_U every other node, in ascending order; only the distance-aware loss splits
+V_U into near and far. distpu_loss and distance_aware_loss share one
+distribution-matching core, so the distance-aware loss with an empty far set
+and pi_hat = pi_p reduces to the Dist-PU loss bit-exactly, not just
+approximately.
 
 structural_regularizer has one path for every graph size, chunked per directed
 edge, in O((n + E) * d + E * k) memory for E edges and k negatives each: no
@@ -82,46 +85,42 @@ class LossValue:
     parts: dict[str, float] = field(default_factory=dict)
 
 
-def _as_mask(labeled_mask: np.ndarray, n: int) -> np.ndarray:
-    mask = np.asarray(labeled_mask)
-    if mask.shape != (n,) or mask.dtype != bool:
-        raise InputError(f"labeled_mask must be a boolean vector of length {n}")
-    return mask
-
-
-def naive_loss(y_hat: np.ndarray, labeled_mask: np.ndarray) -> tuple[LossValue, np.ndarray]:
-    """Mean BCE with target 1 on labeled nodes and target 0 everywhere else."""
+def naive_loss(y_hat: np.ndarray, partition: DistancePartition) -> tuple[LossValue, np.ndarray]:
+    """Mean BCE with target 1 on partition.labeled and target 0 everywhere else."""
     y = np.asarray(y_hat, dtype=np.float64)
-    mask = _as_mask(labeled_mask, y.shape[0])
-    if not mask.any():
+    labeled = partition.labeled
+    if labeled.size == 0:
         raise InputError("naive_loss requires a nonempty labeled set")
-    t = mask.astype(np.float64)
-    n = y.shape[0]
-    value = float(-np.mean(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)))
-    grad = (-t / y + (1.0 - t) / (1.0 - y)) / n
-    return LossValue(value, {"supervised": value}), grad
+    log_terms = np.log(1.0 - y)
+    log_terms[labeled] = np.log(y[labeled])
+    value = float(-np.mean(log_terms))
+    grad = 1.0 / (1.0 - y)
+    grad[labeled] = -1.0 / y[labeled]
+    return LossValue(value, {"supervised": value}), grad / y.shape[0]
 
 
-def nnpu_loss(y_hat: np.ndarray, labeled_mask: np.ndarray,
+def nnpu_loss(y_hat: np.ndarray, partition: DistancePartition,
               pi_p: float) -> tuple[LossValue, np.ndarray]:
-    """Non-negative PU risk with the sigmoid surrogate.
+    """Non-negative PU risk with the sigmoid surrogate; L is partition.labeled
+    and U every other node.
 
     In score space the surrogate losses are l+(y) = 1 - y and l-(y) = y, so
     the estimator is pi_p * mean_L(1 - y) + max(0, mean_U(y) - pi_p * mean_L(y)).
     """
     y = np.asarray(y_hat, dtype=np.float64)
-    mask = _as_mask(labeled_mask, y.shape[0])
-    if not mask.any() or mask.all():
+    labeled = partition.labeled
+    unlabeled = np.delete(np.arange(y.shape[0]), labeled)
+    if labeled.size == 0 or unlabeled.size == 0:
         raise InputError("nnpu_loss requires nonempty labeled and unlabeled sets")
-    y_l, y_u = y[mask], y[~mask]
+    y_l, y_u = y[labeled], y[unlabeled]
     pos_risk = pi_p * float(np.mean(1.0 - y_l))
     correction = float(np.mean(y_u)) - pi_p * float(np.mean(y_l))
     neg_risk = max(0.0, correction)
     grad = np.zeros_like(y)
-    grad[mask] = -pi_p / y_l.size
+    grad[labeled] = -pi_p / y_l.size
     if correction > 0.0:
-        grad[mask] += -pi_p / y_l.size
-        grad[~mask] = 1.0 / y_u.size
+        grad[labeled] += -pi_p / y_l.size
+        grad[unlabeled] = 1.0 / y_u.size
     value = pos_risk + neg_risk
     return LossValue(value, {"supervised": pos_risk, "unlabeled": neg_risk}), grad
 
@@ -157,17 +156,15 @@ def _distribution_match(y: np.ndarray, labeled_ids: np.ndarray,
     return LossValue(total, parts), grad
 
 
-def distpu_loss(y_hat: np.ndarray, labeled_mask: np.ndarray,
+def distpu_loss(y_hat: np.ndarray, partition: DistancePartition,
                 pi_p: float) -> tuple[LossValue, np.ndarray]:
-    """Label-distribution matching: 2*pi_p*|mean_L - 1| + |mean_U - pi_p|."""
+    """Label-distribution matching, 2*pi_p*|mean_L - 1| + |mean_U - pi_p|; L is
+    partition.labeled and U every other node."""
     y = np.asarray(y_hat, dtype=np.float64)
-    mask = _as_mask(labeled_mask, y.shape[0])
-    labeled_ids = np.flatnonzero(mask)
-    unlabeled_ids = np.flatnonzero(~mask)
-    if unlabeled_ids.size == 0:
+    unlabeled = np.delete(np.arange(y.shape[0]), partition.labeled)
+    if unlabeled.size == 0:
         raise InputError("distpu_loss requires a nonempty unlabeled set")
-    value, grad = _distribution_match(y, labeled_ids, [("unlabeled", unlabeled_ids, pi_p)])
-    return value, grad
+    return _distribution_match(y, partition.labeled, [("unlabeled", unlabeled, pi_p)])
 
 
 def distance_aware_loss(y_hat: np.ndarray, partition: DistancePartition,
@@ -319,15 +316,12 @@ def combined_objective(y_hat: np.ndarray, z: np.ndarray,
     """
     t0 = time.perf_counter()
     y = np.asarray(y_hat, dtype=np.float64)
-    n = y.shape[0]
-    labeled_mask = np.zeros(n, dtype=bool)
-    labeled_mask[partition.labeled] = True
     if config.kind == "naive":
-        pu_value, grad_y = naive_loss(y, labeled_mask)
+        pu_value, grad_y = naive_loss(y, partition)
     elif config.kind == "nnpu":
-        pu_value, grad_y = nnpu_loss(y, labeled_mask, config.pi_p)
+        pu_value, grad_y = nnpu_loss(y, partition, config.pi_p)
     elif config.kind == "distpu":
-        pu_value, grad_y = distpu_loss(y, labeled_mask, config.pi_p)
+        pu_value, grad_y = distpu_loss(y, partition, config.pi_p)
     else:
         pu_value, grad_y = distance_aware_loss(y, partition, config.pi_hat, config.pi_breve)
     parts = dict(pu_value.parts)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pugraph.graph import Graph, NormalizedAdjacency, build_graph
+from pugraph.graph import DistancePartition, Graph, NormalizedAdjacency, build_graph
 from pugraph.nn import sigmoid
 
 
@@ -34,6 +34,14 @@ def dense_adjacency(adj: NormalizedAdjacency) -> np.ndarray:
 def pairwise_similarity(z: np.ndarray, i: int, j: int) -> float:
     """sigmoid(z_i . z_j); symmetric in (i, j)."""
     return float(sigmoid(z[i] @ z[j]))
+
+
+def labeled_partition(mask) -> DistancePartition:
+    """A partition whose labeled set is the True nodes of a boolean mask and
+    whose unlabeled nodes are all near; the baselines read only the labeled set."""
+    mask = np.asarray(mask, dtype=bool)
+    return DistancePartition(np.flatnonzero(mask), np.flatnonzero(~mask),
+                             np.zeros(0, dtype=np.int64), np.where(mask, 0.0, 1.0), delta=1)
 
 
 def save_jsonl(path, graph: Graph, features: np.ndarray, labels):

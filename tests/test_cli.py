@@ -283,7 +283,7 @@ STRUCTURAL_OVERRIDES = {
     "dataset.p_intra=2", "dataset.p_inter=0.5", "dataset.n_pos=0", "dataset.name=5",
     "loss.delta=0", "loss.pi_hat=1.5", "loss.k=0", "train.weight_decay=-1",
     "loss.pi_breve=0.7", "loss.alpha=-1", "train.epochs=0", "train.learning_rate=0",
-    *STRUCTURAL_OVERRIDES])
+    "loss.kind=xyz", *STRUCTURAL_OVERRIDES])
 def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     out = tmp_path / "out"
     argv = ["train"] if command == "train" else ["sweep", "main", "--seeds", "1",
@@ -296,9 +296,24 @@ def test_a_bad_config_value_exits_1(tmp_path, capsys, override, command):
     # a value override's error names its full dotted key
     assert STRUCTURAL_OVERRIDES.get(override, override.split("=")[0]) in err
     if command == "sweep":
-        # a sweep reads the document as train does and writes nothing if that
-        # fails; a bad loss or dataset value fails the cells, which are recorded
-        assert out.exists() == override.startswith(("loss.", "dataset."))
+        # a sweep reads the document, its loss section included, as train does
+        # and writes nothing if that fails; a bad dataset value fails the
+        # cells, which are recorded
+        assert out.exists() == override.startswith("dataset.")
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["sweep", "main"], ["partition"], ["eval", "--checkpoint", "absent.bin"]])
+def test_a_bad_loss_section_is_a_config_error_before_a_data_error(tmp_path, capsys, command):
+    # the jsonl file is missing too, but the document's loss section is read first
+    manifest = {"format": "jsonl", "path": str(tmp_path / "absent.jsonl"),
+                "positive_classes": ["pos"]}
+    config = write_config(tmp_path, dataset=manifest, loss={"kind": "xyz"})
+    out = [] if command[0] in ("partition", "eval") else ["--out", str(tmp_path / "out")]
+    assert main([*command, "--config", str(config), *out]) == 1
+    assert "pugraph-error kind=config exit=1 msg=\"loss.kind must be one of" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("exc, kind", [
@@ -341,7 +356,6 @@ def test_every_command_builds_the_same_run(tmp_path, monkeypatch):
     assert len(runs) == 3 + len(MAIN_METHODS) and MAIN_METHODS[-1] == "pugnn"
     (first, first_cfg), *others = runs[:3] + runs[-1:]  # the sweep's pugnn cell runs last
     for dataset, cfg in others:
-        assert np.array_equal(dataset.labeled_mask, first.labeled_mask)
         for field in dataclasses.fields(DistancePartition):
             assert np.array_equal(getattr(dataset.partition, field.name),
                                   getattr(first.partition, field.name))

@@ -715,11 +715,10 @@ class TestBuildDataset:
     def test_sbm_manifest_end_to_end(self):
         ds = build_dataset(SBM_MANIFEST, 0.0075, 0, 2)
         assert ds.num_nodes == 400
-        assert ds.labeled_mask.sum() == 3
-        assert (ds.true_label[ds.labeled_mask] == 1).all()
-        assert (ds.labeled_mask & ~ds.train_mask).sum() == 0
-        assert np.array_equal(ds.test_mask, ~ds.train_mask)
-        assert ds.train_mask.sum() == 40
+        assert ds.partition.labeled.size == 3
+        assert (ds.true_label[ds.partition.labeled] == 1).all()
+        assert not ds.test_mask[ds.partition.labeled].any()
+        assert (~ds.test_mask).sum() == 40
         assert ds.partition.delta == 2
         covered = np.concatenate([ds.partition.labeled, ds.partition.near_unlabeled,
                                   ds.partition.far_unlabeled])
@@ -729,8 +728,8 @@ class TestBuildDataset:
     def test_mask_seed_changes_only_mask(self):
         a = build_dataset(SBM_MANIFEST, 0.0075, 0, 2)
         b = build_dataset(SBM_MANIFEST, 0.0075, 1, 2)
-        assert np.array_equal(a.train_mask, b.train_mask)
-        assert not np.array_equal(a.labeled_mask, b.labeled_mask)
+        assert np.array_equal(a.test_mask, b.test_mask)
+        assert not np.array_equal(a.partition.labeled, b.partition.labeled)
 
     def test_unknown_positive_class_rejected(self):
         manifest = dict(SBM_MANIFEST, positive_classes=["nope"])
@@ -761,6 +760,6 @@ class TestCoraCounts:
         assert int(binary.sum()) == 1244
         assert int((binary == 0).sum()) == 1464
         ds = build_dataset(cora, 0.01, 0, 3)
-        assert ds.train_mask.sum() == 271
+        assert (~ds.test_mask).sum() == 271
         assert ds.test_mask.sum() == 2437
-        assert ds.labeled_mask.sum() == 27
+        assert ds.partition.labeled.size == 27

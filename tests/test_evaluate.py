@@ -83,8 +83,7 @@ class TestPreparedDataset:
         for seed, delta in ((0, 2), (1, 3)):
             a = build_dataset(small_manifest(), 0.02, seed, delta)
             b = build_dataset(prepared, 0.02, seed, delta)
-            for name in ("features", "true_label", "labeled_mask", "train_mask",
-                         "test_mask"):
+            for name in ("features", "true_label", "test_mask"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             for name in ("labeled", "near_unlabeled", "far_unlabeled", "min_dist"):
                 assert np.array_equal(getattr(a.partition, name),

@@ -12,8 +12,9 @@ from pugraph.losses import (LossConfig, combined_objective,
 from pugraph.nn import gcn_forward, init_params
 from pugraph.train import NegativeSampler
 
-from conftest import (ReplaySampler, assert_grad_close, numeric_grad_array,
-                      random_graph, reference_regularizer, traced_peak)
+from conftest import (ReplaySampler, assert_grad_close, labeled_partition,
+                      numeric_grad_array, random_graph, reference_regularizer,
+                      traced_peak)
 
 
 def make_partition(labeled, near, far, delta=3):
@@ -53,7 +54,7 @@ class TestNaiveLoss:
         y = np.full(6, 0.5)
         mask = np.zeros(6, dtype=bool)
         mask[0] = True
-        value, _ = naive_loss(y, mask)
+        value, _ = naive_loss(y, labeled_partition(mask))
         assert value.total == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_limit_to_zero(self):
@@ -61,7 +62,7 @@ class TestNaiveLoss:
         prev = np.inf
         for eps in (1e-2, 1e-4, 1e-6):
             y = np.where(mask, 1.0 - eps, eps)
-            value, _ = naive_loss(y, mask)
+            value, _ = naive_loss(y, labeled_partition(mask))
             assert value.total < prev
             prev = value.total
         assert prev < 1e-5
@@ -71,19 +72,25 @@ class TestNaiveLoss:
         y = rng.uniform(0.05, 0.95, size=9)
         mask = np.zeros(9, dtype=bool)
         mask[rng.choice(9, size=3, replace=False)] = True
-        _, grad = naive_loss(y, mask)
-        numeric = numeric_grad_array(lambda: naive_loss(y, mask)[0].total, y)
+        part = labeled_partition(mask)
+        _, grad = naive_loss(y, part)
+        numeric = numeric_grad_array(lambda: naive_loss(y, part)[0].total, y)
         assert_grad_close(grad, numeric, label="naive")
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(InputError):
-            naive_loss(np.full(4, 0.5), np.zeros(4, dtype=bool))
+            naive_loss(np.full(4, 0.5), labeled_partition(np.zeros(4, dtype=bool)))
 
-    @pytest.mark.parametrize("mask", [np.ones(4, dtype=int), np.ones(3, dtype=bool),
-                                      np.ones((4, 1), dtype=bool)])
-    def test_a_mask_that_is_no_boolean_vector_of_the_scores_length_rejected(self, mask):
-        with pytest.raises(InputError, match="boolean vector of length 4"):
-            naive_loss(np.full(4, 0.5), mask)
+    def test_bit_equal_to_the_target_vector_form(self):
+        # the oracle: BCE against the 0/1 target vector t of the labeled set
+        rng = np.random.default_rng(6)
+        y = rng.uniform(1e-9, 1.0 - 1e-9, size=50)
+        mask = rng.random(50) < 0.3
+        mask[0] = True
+        t = mask.astype(np.float64)
+        value, grad = naive_loss(y, labeled_partition(mask))
+        assert value.total == float(-np.mean(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)))
+        assert np.array_equal(grad, (-t / y + (1.0 - t) / (1.0 - y)) / 50)
 
 
 class TestNnpuLoss:
@@ -91,7 +98,7 @@ class TestNnpuLoss:
         y = np.full(8, 0.5)
         mask = np.zeros(8, dtype=bool)
         mask[:2] = True
-        value, _ = nnpu_loss(y, mask, 0.5)
+        value, _ = nnpu_loss(y, labeled_partition(mask), 0.5)
         # risks: P+ = P- = U- = 0.5 -> 0.5*0.5 + max(0, 0.5 - 0.25) = 0.5
         assert value.total == pytest.approx(0.5, abs=1e-12)
         assert value.parts["supervised"] == pytest.approx(0.25, abs=1e-12)
@@ -100,7 +107,7 @@ class TestNnpuLoss:
     def test_separated_scores_clamp(self):
         mask = np.array([True, True, False, False, False, False])
         y = np.where(mask, 0.99, 0.01)
-        value, grad = nnpu_loss(y, mask, 0.5)
+        value, grad = nnpu_loss(y, labeled_partition(mask), 0.5)
         assert value.parts["unlabeled"] == 0.0   # correction negative, clamped
         assert value.total == pytest.approx(0.5 * 0.01, abs=1e-12)
         assert not grad[~mask].any()             # clamped branch has zero gradient
@@ -113,7 +120,7 @@ class TestNnpuLoss:
             mask = np.zeros(n, dtype=bool)
             mask[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
             pi = float(rng.uniform(0.05, 0.95))
-            value, _ = nnpu_loss(y, mask, pi)
+            value, _ = nnpu_loss(y, labeled_partition(mask), pi)
             assert value.total >= 0.0
 
     def test_gradient_matches_fd(self):
@@ -128,35 +135,36 @@ class TestNnpuLoss:
             correction = np.mean(y[~mask]) - pi * np.mean(y[mask])
             if abs(correction) < 1e-6:  # max() kink
                 continue
-            _, grad = nnpu_loss(y, mask, pi)
-            numeric = numeric_grad_array(lambda: nnpu_loss(y, mask, pi)[0].total, y)
+            part = labeled_partition(mask)
+            _, grad = nnpu_loss(y, part, pi)
+            numeric = numeric_grad_array(lambda: nnpu_loss(y, part, pi)[0].total, y)
             assert_grad_close(grad, numeric, label="nnpu")
             checked += 1
 
     def test_empty_sets_rejected(self):
         with pytest.raises(InputError):
-            nnpu_loss(np.full(3, 0.5), np.ones(3, dtype=bool), 0.5)
+            nnpu_loss(np.full(3, 0.5), labeled_partition(np.ones(3, dtype=bool)), 0.5)
         with pytest.raises(InputError):
-            nnpu_loss(np.full(3, 0.5), np.zeros(3, dtype=bool), 0.5)
+            nnpu_loss(np.full(3, 0.5), labeled_partition(np.zeros(3, dtype=bool)), 0.5)
 
 
 class TestDistpuLoss:
     def test_worked_example(self):
         y = np.array([0.8, 0.6, 0.2, 0.4, 0.9])
         mask = np.array([True, True, False, False, False])
-        value, _ = distpu_loss(y, mask, 0.5)
+        value, _ = distpu_loss(y, labeled_partition(mask), 0.5)
         assert value.total == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_at_matched_distributions(self):
         y = np.array([1.0, 1.0, 0.5, 0.5])
         mask = np.array([True, True, False, False])
-        value, _ = distpu_loss(y, mask, 0.5)
+        value, _ = distpu_loss(y, labeled_partition(mask), 0.5)
         assert value.total == 0.0
 
     def test_labeled_gradient_closed_form(self):
         y = np.array([0.8, 0.6, 0.2, 0.4, 0.9])
         mask = np.array([True, True, False, False, False])
-        _, grad = distpu_loss(y, mask, 0.5)
+        _, grad = distpu_loss(y, labeled_partition(mask), 0.5)
         assert np.allclose(grad[mask], -2.0 * 0.5 / 2, atol=1e-15)
 
     def test_gradient_matches_fd(self):
@@ -170,14 +178,37 @@ class TestDistpuLoss:
             pi = float(rng.uniform(0.1, 0.9))
             if not away_from_kinks(y, mask, [pi]):
                 continue
-            _, grad = distpu_loss(y, mask, pi)
-            numeric = numeric_grad_array(lambda: distpu_loss(y, mask, pi)[0].total, y)
+            part = labeled_partition(mask)
+            _, grad = distpu_loss(y, part, pi)
+            numeric = numeric_grad_array(lambda: distpu_loss(y, part, pi)[0].total, y)
             assert_grad_close(grad, numeric, label="distpu")
             checked += 1
 
     def test_every_node_labeled_rejected(self):
         with pytest.raises(InputError, match="nonempty unlabeled set"):
-            distpu_loss(np.full(3, 0.5), np.ones(3, dtype=bool), 0.5)
+            distpu_loss(np.full(3, 0.5), labeled_partition(np.ones(3, dtype=bool)), 0.5)
+
+
+@pytest.mark.parametrize("loss", [naive_loss, lambda y, part: nnpu_loss(y, part, 0.4),
+                                  lambda y, part: distpu_loss(y, part, 0.4)],
+                         ids=["naive", "nnpu", "distpu"])
+def test_baselines_read_only_the_labeled_set(loss):
+    # moving unlabeled nodes between near and far changes no bit of value or gradient
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        y = rng.uniform(1e-9, 1.0 - 1e-9, size=n)
+        ids = rng.permutation(n)
+        cut = int(rng.integers(1, n))
+        labeled, unlabeled = np.sort(ids[:cut]), ids[cut:]
+        split = int(rng.integers(0, unlabeled.size + 1))
+        all_near = DistancePartition(labeled, np.sort(unlabeled), unlabeled[:0],
+                                     np.zeros(n), delta=3)
+        moved = DistancePartition(labeled, np.sort(unlabeled[:split]),
+                                  np.sort(unlabeled[split:]), np.zeros(n), delta=3)
+        (value_a, grad_a), (value_b, grad_b) = loss(y, all_near), loss(y, moved)
+        assert value_a.total == value_b.total and value_a.parts == value_b.parts
+        assert np.array_equal(grad_a, grad_b)
 
 
 class TestDistanceAwareLoss:
@@ -208,9 +239,7 @@ class TestDistanceAwareLoss:
             part = DistancePartition(labeled, unlabeled, unlabeled[:0],
                                      np.zeros(n), delta=3)
             da_value, da_grad = distance_aware_loss(y, part, pi, pi / 2)
-            dp_mask = np.zeros(n, dtype=bool)
-            dp_mask[labeled] = True
-            dp_value, dp_grad = distpu_loss(y, dp_mask, pi)
+            dp_value, dp_grad = distpu_loss(y, part, pi)
             assert da_value.total == dp_value.total  # exact, no tolerance
             assert np.array_equal(da_grad, dp_grad)
 
@@ -535,12 +564,12 @@ class TestCombinedObjective:
 
     def test_config_validation(self):
         g, y, z, part = self._setup(seed=2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="loss.kind must be one of"):
             combined_objective(y, z, part, g, LossConfig(kind="bogus"), None)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="loss.pi_hat must exceed loss.pi_breve"):
             combined_objective(y, z, part, g,
                                LossConfig(pi_hat=0.2, pi_breve=0.3), None)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="loss.alpha must be >= 0"):
             combined_objective(y, z, part, g, LossConfig(alpha=-0.1), None)
 
 

@@ -23,7 +23,7 @@ from pugraph.graph import (build_graph, generate_sbm, multi_source_bfs,
 from pugraph.losses import distance_aware_loss, nnpu_loss
 from pugraph.train import NegativeSampler
 
-from conftest import dense_adjacency, neighbors
+from conftest import dense_adjacency, labeled_partition, neighbors
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -124,7 +124,7 @@ def test_uncorrected_nnpu_risk_averages_to_the_pn_risk(draws):
     risks = []
     for seed in range(draws):
         labeled = make_pu_split(truth, np.ones(n, dtype=bool), n_labeled / n, seed)
-        value, _ = nnpu_loss(y, labeled, pi_u)
+        value, _ = nnpu_loss(y, labeled_partition(labeled), pi_u)
         assert value.parts["unlabeled"] > 0.0  # no clamp, so this is the uncorrected risk
         risks.append(value.total)
     # a draw's risk is a constant minus c * mean_L(y), and mean_L(y) over n_labeled

@@ -318,13 +318,13 @@ class TestTrain:
         manifest = small_manifest(n_pos=20, n_neg=20, p_intra=0.3, p_inter=0.05,
                                   train_fraction=0.5, name="sbm40")
         ds = build_dataset(manifest, 1.0 / 40, 0, 2)
-        assert ds.labeled_mask.sum() == 1
+        assert ds.partition.labeled.size == 1
         cfg = TrainConfig(epochs=400, loss=LossConfig(
             kind="distance_aware", delta=2, alpha=0.0))
         params, _ = train(ds, cfg)
         adj = normalize_adjacency(ds.graph)
         cache = forward_from_propagated(adj, adj.matmul(ds.features), params)
-        assert cache.y_hat[ds.labeled_mask][0] > 0.95
+        assert cache.y_hat[ds.partition.labeled][0] > 0.95
 
     def test_delta_mismatch_rejected(self):
         ds = build_dataset(small_manifest(), 0.02, 0, 2)
@@ -422,7 +422,7 @@ class TestTrain:
         opt = Adam(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
         for _ in range(20):
             cache = forward_from_propagated(adj, ax, ref)
-            _, grad_y = distpu_loss(cache.y_hat, ds.labeled_mask, pi)
+            _, grad_y = distpu_loss(cache.y_hat, ds.partition, pi)
             grads = gcn_backward(cache, grad_y, np.zeros_like(cache.z), ref)
             ref = opt.step(ref, grads)
         for name in params:
