@@ -17,8 +17,8 @@ order equal to file order and the adjacency symmetrized.
 normalize, split. Every loader returns a new feature array, and
 `normalize_features` scales it in place, so normalizing allocates no second
 feature matrix. `build_dataset` draws one run's PU mask and partition from
-that PreparedDataset, which also keeps the propagated features that training
-builds on first use (`train.propagate`) and scoring reuses.
+that PreparedDataset, which also keeps the operands of the first layer that
+training and scoring build on first use (`train.propagate`).
 """
 
 import json
@@ -26,34 +26,50 @@ import logging
 import os
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError, ParseError, check_value
-from .graph import (DistancePartition, Graph, build_graph, generate_sbm,
-                    partition_unlabeled)
+from .graph import (DistancePartition, Graph, NormalizedAdjacency, build_graph,
+                    generate_sbm, partition_unlabeled)
+from .nn import SparseFeatures
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class PreparedDataset:
-    """What every run on one manifest shares; `propagation` is (A_hat,
-    A_hat @ X) once `train.propagate` has built it."""
+    """What every run on one manifest shares.
+
+    The last three fields are None until `train.propagate` builds them on
+    first use; they are then kept, for every later run and its scoring:
+    `adjacency` (A_hat) at the first training or scoring; `propagated`
+    (A_hat @ X) at the first scoring, or at the first training when the
+    features are dense; `sparse_features` (X and X^T as CSR plans) at the
+    first training when the features are sparse. `feature_density` is
+    counted at the first training.
+    """
 
     manifest: dict
     graph: Graph
     features: np.ndarray        # num_nodes x feature_dim, float64
     true_label: np.ndarray      # per-node {0, 1}
     test_mask: np.ndarray       # bool; the train split is its complement
-    propagation: tuple | None = None
+    adjacency: NormalizedAdjacency | None = None
+    propagated: np.ndarray | None = None
+    sparse_features: SparseFeatures | None = None
 
     @property
     def positive_prior(self) -> float:
         """Fraction of true positives over all nodes (transductive prior)."""
         return float(np.mean(self.true_label))
+
+    @cached_property
+    def feature_density(self) -> float:
+        """Share of the feature entries that are nonzero."""
+        return np.count_nonzero(self.features) / self.features.size
 
 
 @dataclass
@@ -271,21 +287,22 @@ def normalize_features(features: np.ndarray) -> np.ndarray:
     return np.divide(features, norms, out=features)
 
 
-def make_train_test_split(num_nodes: int, train_count: int,
-                          seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform train subset of the given size; test is its complement."""
+def make_train_test_split(num_nodes: int, train_count: int, seed: int) -> np.ndarray:
+    """The test mask of a seeded uniform train subset of the given size; the
+    train split is its complement."""
     if not 0 < train_count < num_nodes:
         raise InputError(f"train_count must lie in (0, {num_nodes}), got {train_count}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(num_nodes, size=train_count, replace=False)
-    train = np.zeros(num_nodes, dtype=bool)
-    train[chosen] = True
-    return train, ~train
+    test = np.ones(num_nodes, dtype=bool)
+    test[chosen] = False
+    return test
 
 
 def make_pu_split(binary_labels: np.ndarray, train_mask: np.ndarray,
                   label_ratio: float, seed: int) -> np.ndarray:
-    """Keep labels on n_L = max(1, round(ratio * num_nodes)) training positives.
+    """The sorted ids of n_L = max(1, round(ratio * num_nodes)) training
+    positives that keep their labels.
 
     n_L is capped at the number of positive training nodes; selection is
     uniform at random, deterministic given the seed.
@@ -299,10 +316,7 @@ def make_pu_split(binary_labels: np.ndarray, train_mask: np.ndarray,
     n_l = max(1, int(np.floor(label_ratio * binary_labels.size + 0.5)))
     n_l = min(n_l, candidates.size)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(candidates, size=n_l, replace=False)
-    mask = np.zeros(binary_labels.size, dtype=bool)
-    mask[chosen] = True
-    return mask
+    return np.sort(rng.choice(candidates, size=n_l, replace=False))
 
 
 _SIGNAL, _BACKGROUND = 0.65, 0.2  # planted feature rates, own block / other block
@@ -402,7 +416,7 @@ def prepare_dataset(manifest: dict) -> PreparedDataset:
     if _value(manifest, "normalize_features", True, bool):
         features = normalize_features(features)  # in place: the loader's array is its own
     features = np.ascontiguousarray(features)  # a content file's is a strided view
-    _, test_mask = make_train_test_split(
+    test_mask = make_train_test_split(
         graph.num_nodes, resolve_train_count(graph.num_nodes, manifest),
         _value(manifest, "split_seed", 0))
     return PreparedDataset(dict(manifest), graph, features, binary, test_mask)
@@ -412,6 +426,5 @@ def build_dataset(source, label_ratio: float, seed: int, delta: int) -> PUDatase
     """Draw one run's PUDataset from a PreparedDataset or a manifest (which is
     prepared first): the PU mask with `seed`, the partition with `delta`."""
     prepared = source if isinstance(source, PreparedDataset) else prepare_dataset(source)
-    labeled = np.flatnonzero(make_pu_split(prepared.true_label, ~prepared.test_mask,
-                                           label_ratio, seed))
+    labeled = make_pu_split(prepared.true_label, ~prepared.test_mask, label_ratio, seed)
     return PUDataset(prepared, partition_unlabeled(prepared.graph, labeled, delta))

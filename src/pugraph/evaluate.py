@@ -7,7 +7,8 @@ changing any result.
 
 A grid prepares its dataset once (`data.prepare_dataset`); each cell draws
 its PU mask and partition from it, so a cell's wall_time excludes the shared
-preparation, apart from A_hat @ X, built by the first cell a process trains.
+preparation, apart from A_hat and the first layer's operands
+(`train.propagate`), built by the first cell a process trains and scores.
 A failed preparation is recorded on every cell. `build_run` resolves every run,
 a cell's and each `pugraph` command's; a cell's loss settings are its method's
 pins (METHOD_LOSS), then its own knobs, then the grid's loss_overrides.

@@ -4,11 +4,14 @@ Graphs are stored in CSR form (row offsets + sorted column indices) and are
 immutable after construction. This module provides:
 
 - build_graph: edge list -> deduplicated, symmetrized, self-loop-free CSR
+- CSRMatrix: a sparse matrix, such as sparse features or their transpose,
+  whose matmul works on rows grouped by entry count, a cache-sized block at
+  a time (at most _GATHER_ELEMS gathered elements, or one row), and sums
+  each row in np.add.reduceat's order, so it is bit-equal to one reduceat
+  per row; an empty row gives zeros
 - normalize_adjacency: symmetric GCN normalization with implicit self-loops,
-  weight(i, j) = 1 / sqrt((d_i + 1) (d_j + 1)); its matmul works on rows
-  grouped by entry count, a cache-sized block at a time (at most
-  _GATHER_ELEMS gathered elements, or one row), and sums each row in
-  np.add.reduceat's order, so it is bit-equal to one reduceat per row
+  weight(i, j) = 1 / sqrt((d_i + 1) (d_j + 1)), as a NormalizedAdjacency,
+  a square CSRMatrix with no empty row
 - multi_source_bfs: unweighted hop distances from a set of source nodes
 - partition_unlabeled: split unlabeled nodes by hop distance to the nearest
   labeled node (threshold delta)
@@ -51,25 +54,23 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class NormalizedAdjacency:
-    """CSR matrix of 1/sqrt((d_i+1)(d_j+1)) over N(i) plus the self-loop of i.
+class CSRMatrix:
+    """A (num_rows, num_cols) sparse matrix in CSR form; a row may be empty.
 
     Built, it also holds the matmul plan: for each entry count L, the ids of
     the rows with L entries and their (L, rows) column ids and weights,
-    entry-major, 16 bytes per entry.
+    entry-major, 16 bytes per entry. The rows with no entry form the group
+    L = 0.
     """
 
-    num_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    num_cols: int
+    indptr: np.ndarray   # int64, length num_rows + 1
+    indices: np.ndarray  # int64 column ids
     weights: np.ndarray  # float64
     _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = np.diff(self.indptr)
-        empty = np.flatnonzero(lengths < 1)
-        if empty.size:
-            raise InputError(f"adjacency row {empty[0]} has no entry, not even its self-loop")
         order = np.argsort(lengths, kind="stable")
         counts, starts = np.unique(lengths[order], return_index=True)
         groups = []
@@ -78,9 +79,30 @@ class NormalizedAdjacency:
             groups.append((rows, self.indices[entries], self.weights[entries]))
         object.__setattr__(self, "_groups", tuple(groups))
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.num_cols
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
+        """The nonzero entries of a 2-D array, each row's columns ascending."""
+        num_rows, num_cols = dense.shape
+        flat = np.flatnonzero(dense)
+        indptr = np.searchsorted(flat, np.arange(num_rows + 1) * num_cols)
+        return cls(num_cols, indptr, flat % num_cols, np.take(dense, flat))
+
+    def transpose(self) -> "CSRMatrix":
+        """The transpose, from a stable sort of the column ids, so that each of
+        its rows lists the entries of one column in ascending row order."""
+        num_rows = self.indptr.size - 1
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(num_rows, dtype=np.int64), np.diff(self.indptr))
+        indptr = np.searchsorted(self.indices[order], np.arange(self.num_cols + 1))
+        return CSRMatrix(num_rows, indptr, rows[order], self.weights[order])
+
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Product with a (num_nodes, d) operand, bit-equal to np.add.reduceat
-        over each row's entries in CSR order.
+        """Product with a (num_cols, d) operand, bit-equal to np.add.reduceat
+        over each row's entries in CSR order; a row with no entry is zeros.
 
         The rows of one entry count L are taken in blocks of r rows whose
         gather, an (L, r, d) array of weighted operand rows, holds at most
@@ -88,15 +110,17 @@ class NormalizedAdjacency:
         never exceeds max(_GATHER_ELEMS, longest row x width) elements and
         stays cache-sized. The block is reduced in place over its entry axis,
         one whole (r, d) slice per operation, in reduceat's order: the first
-        entry plus _pairwise_sum of the rest. Every row has at least its
-        self-loop entry, which construction checks.
+        entry plus _pairwise_sum of the rest.
         """
-        if dense.shape[0] != self.num_nodes:
+        if dense.shape[0] != self.num_cols:
             raise InputError(
-                f"dense operand has {dense.shape[0]} rows, graph has {self.num_nodes} nodes"
+                f"dense operand has {dense.shape[0]} rows, the matrix has {self.num_cols} columns"
             )
-        out = np.empty((self.num_nodes, dense.shape[1]), dtype=np.float64)
+        out = np.empty((self.indptr.size - 1, dense.shape[1]), dtype=np.float64)
         for rows, cols, weights in self._groups:
+            if not len(cols):
+                out[rows] = 0.0
+                continue
             step = max(1, _GATHER_ELEMS // max(1, cols.shape[0] * dense.shape[1]))
             for lo in range(0, rows.size, step):
                 prod = np.take(dense, cols[:, lo:lo + step], axis=0)
@@ -106,6 +130,19 @@ class NormalizedAdjacency:
                 out[rows[lo:lo + step]] = prod[0]
                 del prod  # the next block's gather reuses its memory
         return out
+
+
+class NormalizedAdjacency(CSRMatrix):
+    """CSR matrix of 1/sqrt((d_i+1)(d_j+1)) over N(i) plus the self-loop of i,
+    num_nodes square; construction checks that every row holds an entry."""
+
+    num_nodes = property(lambda self: self.num_cols)
+
+    def __post_init__(self):
+        empty = np.flatnonzero(np.diff(self.indptr) < 1)
+        if empty.size:
+            raise InputError(f"adjacency row {empty[0]} has no entry, not even its self-loop")
+        super().__post_init__()
 
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:

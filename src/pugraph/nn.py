@@ -11,13 +11,26 @@ returns a new dict of gradients and writes into no parameter.
 All math is float64. The ReLU subgradient at 0 is taken as 0, and sigmoid
 outputs are clipped to (Y_EPS, 1 - Y_EPS) so downstream logs stay finite.
 
-The two first-layer products, (A_hat X) W1 forward and (A_hat X)^T dPre1
-backward, are computed transposed: as (W1^T (A_hat X)^T)^T and
-(dPre1^T (A_hat X))^T. They are the same products, but OpenBLAS runs this
-orientation 25-45% faster on n x f times f x 16 shapes (measured on the
-Cora shape, 2,708 x 1,433, and on 8,000 x 500, one BLAS thread). The
-summation order inside BLAS differs, so a few entries can differ from
-`ax @ W1` in the last place. The activations stay C-contiguous.
+The first layer's feature operand comes in one of two forms, and the form
+picks its products:
+
+- The dense A_hat X (an ndarray), which scoring, gcn_forward and every
+  direct forward_from_propagated call pass, and training passes for dense
+  features. The products, (A_hat X) W1 forward and (A_hat X)^T dPre1
+  backward, are computed transposed: as (W1^T (A_hat X)^T)^T and
+  (dPre1^T (A_hat X))^T. They are the same products, but OpenBLAS runs this
+  orientation 25-45% faster on n x f times f x 16 shapes (measured on the
+  Cora shape, 2,708 x 1,433, and on 8,000 x 500, one BLAS thread). The
+  summation order inside BLAS differs, so a few entries can differ from
+  `ax @ W1` in the last place.
+- SparseFeatures, X and X^T as CSR plans, which training passes for
+  features of low density (`train.SPARSE_DENSITY`). The same products are
+  regrouped: A_hat (X W1) forward and X^T (A_hat dPre1) backward, four
+  sparse products of width 16 in place of two dense ones of width f. The
+  sums run in another order, so the results differ from the dense form's in
+  the last places.
+
+The activations stay C-contiguous.
 """
 
 import json
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-from .graph import NormalizedAdjacency
+from .graph import CSRMatrix, NormalizedAdjacency
 
 HIDDEN_DIM = 16
 Y_EPS = 1e-12
@@ -80,6 +93,24 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(out, e, out=out)
 
 
+@dataclass(frozen=True)
+class SparseFeatures:
+    """A feature matrix X and its transpose as CSR plans: the first layer's
+    operand for sparse features (see the module docstring)."""
+
+    x: CSRMatrix
+    xt: CSRMatrix
+
+    @classmethod
+    def of(cls, features: np.ndarray) -> "SparseFeatures":
+        x = CSRMatrix.from_dense(features)
+        return cls(x, x.transpose())
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x.shape
+
+
 @dataclass
 class ForwardCache:
     """Activations of one forward pass plus the operands backward needs."""
@@ -87,7 +118,7 @@ class ForwardCache:
     h1: np.ndarray      # post-ReLU layer-1 output
     z: np.ndarray       # layer-2 output (representation)
     y_hat: np.ndarray   # head scores, clipped into (Y_EPS, 1 - Y_EPS)
-    ax: np.ndarray      # A_hat @ X
+    ax: np.ndarray | SparseFeatures  # the first layer's feature operand
     ah1: np.ndarray     # A_hat @ H1
     adj: NormalizedAdjacency
 
@@ -97,15 +128,20 @@ def _check_finite(arr: np.ndarray, layer: str):
         raise NumericError(f"non-finite values produced in {layer}")
 
 
-def forward_from_propagated(adj: NormalizedAdjacency, ax: np.ndarray,
+def forward_from_propagated(adj: NormalizedAdjacency, ax: np.ndarray | SparseFeatures,
                             params: dict) -> ForwardCache:
-    """Forward pass given the precomputed A_hat @ X (constant across steps)."""
+    """Forward pass given the first layer's feature operand, constant across
+    steps: the precomputed A_hat @ X, or X's SparseFeatures."""
     w1 = params["W1"]
     if ax.shape[1] != w1.shape[0]:
         raise ConfigError(f"features have {ax.shape[1]} columns, W1 expects {w1.shape[0]}")
-    # ax @ W1 transposed: OpenBLAS runs (16 x f)(f x n) faster than (n x f)(f x 16);
-    # the bias add writes a C-ordered pre1, so h1's rows stay contiguous for matmul
-    pre1 = np.add((w1.T @ ax.T).T, params["b1"], out=np.empty((ax.shape[0], HIDDEN_DIM)))
+    if isinstance(ax, SparseFeatures):
+        pre1 = adj.matmul(ax.x.matmul(w1))
+        pre1 += params["b1"]
+    else:
+        # ax @ W1 transposed: OpenBLAS runs (16 x f)(f x n) faster than (n x f)(f x 16);
+        # the bias add writes a C-ordered pre1, so h1's rows stay contiguous for matmul
+        pre1 = np.add((w1.T @ ax.T).T, params["b1"], out=np.empty((ax.shape[0], HIDDEN_DIM)))
     _check_finite(pre1, "layer1")
     h1 = np.maximum(pre1, 0.0)
     ah1 = adj.matmul(h1)
@@ -142,9 +178,13 @@ def gcn_backward(cache: ForwardCache, d_yhat: np.ndarray, d_z: np.ndarray,
     dz = d_z + np.outer(d_score, params["w_head"])
     dh1 = cache.adj.matmul(dz @ params["W2"].T)  # A_hat is symmetric
     dpre1 = np.where(cache.h1 > 0.0, dh1, 0.0)
-    # W1's gradient is ax.T @ dpre1, in OpenBLAS's faster orientation; made
-    # C-ordered like W1, so that sums over it run in the same order
-    return {"W1": np.ascontiguousarray((dpre1.T @ cache.ax).T), "W2": cache.ah1.T @ dz,
+    if isinstance(cache.ax, SparseFeatures):
+        dw1 = cache.ax.xt.matmul(cache.adj.matmul(dpre1))
+    else:
+        # ax.T @ dpre1, in OpenBLAS's faster orientation; made C-ordered like
+        # W1, so that sums over it run in the same order
+        dw1 = np.ascontiguousarray((dpre1.T @ cache.ax).T)
+    return {"W1": dw1, "W2": cache.ah1.T @ dz,
             "b1": dpre1.sum(axis=0), "b2": dz.sum(axis=0), "w_head": cache.z.T @ d_score,
             "b_head": np.asarray(d_score.sum())}
 

@@ -251,3 +251,49 @@ def small_manifest(**overrides):
                     p_inter=0.01, name="sbm100")
     manifest.update(overrides)
     return manifest
+
+
+def sparse_features(rng: np.random.Generator, n: int, f: int, density: float) -> np.ndarray:
+    """An (n, f) array with about `density` of its entries nonzero, whose
+    first row and last column are all zero: empty rows of X's and X^T's plans."""
+    x = np.where(rng.random((n, f)) < density, rng.normal(size=(n, f)), 0.0)
+    x[0] = 0.0
+    x[:, -1] = 0.0
+    return x
+
+
+def citation_manifest(directory, num_nodes: int = 300, feature_dim: int = 400,
+                      words: int = 5, seed: int = 0, **overrides) -> dict:
+    """Write a two-class `.content`/`.cites` pair and return its manifest.
+
+    Each node has `words` 0/1 features, `words // 2` of them from its
+    class's half of the vocabulary, so the features are as sparse as Cora's
+    (5 of 400 words is 1.25%, Cora's 18 of 1,433 is 1.26%). Node 0 has no
+    word and the last feature is no node's. Edges stay inside a class four
+    times in five.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=num_nodes)
+    half = (feature_dim - 1) // 2
+    bits = np.zeros((num_nodes, feature_dim), dtype=np.int64)
+    for node in range(1, num_nodes):
+        own = rng.choice(half, size=words // 2, replace=False) + labels[node] * half
+        rest = np.setdiff1d(np.arange(feature_dim - 1), own)
+        bits[node, own] = 1
+        bits[node, rng.choice(rest, size=words - own.size, replace=False)] = 1
+    src = rng.integers(0, num_nodes, size=3 * num_nodes)
+    dst = rng.integers(0, num_nodes, size=src.size)
+    keep = (labels[src] == labels[dst]) | (rng.random(src.size) < 0.25)
+    content = os.path.join(directory, "sparse.content")
+    cites = os.path.join(directory, "sparse.cites")
+    with open(content, "w", encoding="utf-8") as fh:
+        for node in range(num_nodes):
+            fh.write(f"p{node}\t" + "\t".join(map(str, bits[node]))
+                     + f"\t{'pos' if labels[node] else 'neg'}\n")
+    with open(cites, "w", encoding="utf-8") as fh:
+        fh.writelines(f"p{a}\tp{b}\n" for a, b in zip(src[keep], dst[keep]))
+    manifest = {"name": "sparse-citation", "format": "content_cites", "content": content,
+                "cites": cites, "positive_classes": ["pos"], "train_fraction": 0.2,
+                "split_seed": 0}
+    manifest.update(overrides)
+    return manifest

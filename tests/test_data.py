@@ -539,8 +539,8 @@ class TestPuSplit:
         train[rng.choice(2708, size=271, replace=False)] = True
         if not (train & (labels == 1)).any():
             labels[np.flatnonzero(train)[0]] = 1
-        assert make_pu_split(labels, train, 0.001, 0).sum() == 3
-        assert make_pu_split(labels, train, 0.01, 0).sum() == 27
+        assert make_pu_split(labels, train, 0.001, 0).size == 3
+        assert make_pu_split(labels, train, 0.01, 0).size == 27
 
     def test_deterministic_and_seed_sensitive(self):
         labels = np.ones(400, dtype=int)
@@ -549,8 +549,10 @@ class TestPuSplit:
         b = make_pu_split(labels, train, 0.05, 7)
         c = make_pu_split(labels, train, 0.05, 8)
         assert np.array_equal(a, b)
-        assert a.sum() == c.sum() == 20
+        assert a.size == c.size == 20
         assert not np.array_equal(a, c)
+        # sorted ids, each once
+        assert np.array_equal(a, np.unique(a)) and np.array_equal(c, np.unique(c))
 
     def test_only_train_positives_selected(self):
         rng = np.random.default_rng(2)
@@ -558,14 +560,14 @@ class TestPuSplit:
         train = rng.random(100) < 0.3
         if not (train & (labels == 1)).any():
             labels[np.flatnonzero(train)[0]] = 1
-        mask = make_pu_split(labels, train, 0.05, 3)
-        assert (labels[mask] == 1).all()
-        assert train[mask].all()
+        labeled = make_pu_split(labels, train, 0.05, 3)
+        assert (labels[labeled] == 1).all()
+        assert train[labeled].all()
 
     def test_capped_at_available_positives(self):
         labels = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
         train = np.ones(10, dtype=bool)
-        assert make_pu_split(labels, train, 1.0, 0).sum() == 2
+        assert make_pu_split(labels, train, 1.0, 0).tolist() == [0, 1]
 
     def test_no_positive_training_nodes_rejected(self):
         with pytest.raises(InputError):
@@ -739,10 +741,9 @@ class TestBuildDataset:
 
 class TestTrainTestSplit:
     def test_sizes_and_disjointness(self):
-        train, test = make_train_test_split(100, 17, 0)
-        assert train.sum() == 17
-        assert not (train & test).any()
-        assert (train | test).all()
+        test = make_train_test_split(100, 17, 0)
+        assert test.dtype == bool and test.shape == (100,)
+        assert (~test).sum() == 17
 
     def test_invalid_count(self):
         with pytest.raises(InputError):

@@ -10,10 +10,10 @@ from pugraph.errors import InputError
 from pugraph.evaluate import (SWEEPS, ExperimentResult, aggregate, macro_f1, run_grid,
                               run_sweep, score)
 from pugraph.graph import normalize_adjacency
-from pugraph.nn import gcn_forward
+from pugraph.nn import SparseFeatures, gcn_forward
 from pugraph.train import TrainConfig, train
 
-from conftest import small_manifest
+from conftest import citation_manifest, small_manifest
 
 FAST = TrainConfig(epochs=10)
 
@@ -94,11 +94,29 @@ class TestPreparedDataset:
         calls = counting(monkeypatch, "train", "normalize_adjacency")
         prepared = prepare_dataset(small_manifest())
         runs = [build_dataset(prepared, 0.02, seed, 3) for seed in (0, 1)]
-        assert prepared.propagation is None and not calls
+        assert (prepared.adjacency, prepared.propagated, prepared.sparse_features) == (
+            None, None, None) and not calls
         for seed, ds in enumerate(runs):
             params, _ = train(ds, TrainConfig(epochs=5, seed=seed))
             metrics = score(ds, params)
             # the oracle builds its own propagation from the graph
+            y = gcn_forward(normalize_adjacency(ds.graph), ds.features, params).y_hat
+            assert metrics == macro_f1(y, ds.true_label, ds.test_mask)
+        assert len(calls) == 1
+
+    def test_sparse_features_train_on_their_plans_and_score_on_a_x(self, tmp_path,
+                                                                    monkeypatch):
+        calls = counting(monkeypatch, "train", "normalize_adjacency")
+        prepared = prepare_dataset(citation_manifest(tmp_path))
+        for seed in (0, 1):
+            ds = build_dataset(prepared, 0.05, seed, 3)
+            params, _ = train(ds, TrainConfig(epochs=5, seed=seed))
+            if seed == 0:
+                # training built the plans but not A_hat @ X; scoring builds that
+                plans = prepared.sparse_features
+                assert isinstance(plans, SparseFeatures) and prepared.propagated is None
+            assert prepared.sparse_features is plans
+            metrics = score(ds, params)
             y = gcn_forward(normalize_adjacency(ds.graph), ds.features, params).y_hat
             assert metrics == macro_f1(y, ds.true_label, ds.test_mask)
         assert len(calls) == 1
@@ -118,6 +136,13 @@ def outcome(results):
 class TestGrids:
     def test_two_workers_give_the_same_results_as_one(self):
         args = (small_manifest(), ("naive", "distpu", "pugnn"), (0.02,), range(2), FAST)
+        one = run_grid(*args, jobs=1)
+        two = run_grid(*args, jobs=2)
+        assert all(r.error is None for r in one)
+        assert outcome(two) == outcome(one)
+
+    def test_two_workers_give_the_same_results_as_one_on_sparse_features(self, tmp_path):
+        args = (citation_manifest(tmp_path), ("naive", "pugnn"), (0.05,), range(2), FAST)
         one = run_grid(*args, jobs=1)
         two = run_grid(*args, jobs=2)
         assert all(r.error is None for r in one)

@@ -3,12 +3,12 @@ import pytest
 
 from pugraph import graph as graph_module
 from pugraph.errors import InputError
-from pugraph.graph import (NormalizedAdjacency, build_graph, generate_sbm,
+from pugraph.graph import (CSRMatrix, NormalizedAdjacency, build_graph, generate_sbm,
                            multi_source_bfs, normalize_adjacency,
                            partition_unlabeled)
 
 from conftest import (dense_adjacency, floyd_warshall, has_edge, neighbors,
-                      random_graph, traced_peak)
+                      random_graph, sparse_features, traced_peak)
 
 
 def assert_bit_equal(a, b, arrays=("indptr", "indices")):
@@ -106,7 +106,7 @@ class TestNormalizeAdjacency:
 
     def test_matmul_rejects_an_operand_of_another_row_count(self):
         na = normalize_adjacency(build_graph([(0, 1)], 3))
-        with pytest.raises(InputError, match="dense operand has 2 rows, graph has 3 nodes"):
+        with pytest.raises(InputError, match="dense operand has 2 rows, the matrix has 3 columns"):
             na.matmul(np.ones((2, 4)))
 
     def test_matmul_matches_dense(self):
@@ -320,6 +320,54 @@ class TestRowBlockedMatmul:
             out, peak = traced_peak(adj.matmul, x)
             gather = 8 * max(graph_module._GATHER_ELEMS, longest * width)
             assert peak < out.nbytes + gather + 2**17, width
+
+
+class TestCSRMatrix:
+    """The rectangular sparse matrix that sparse features train through; its
+    matmul runs NormalizedAdjacency's plan, and an empty row gives zeros."""
+
+    def test_from_dense_keeps_each_nonzero_in_row_order(self):
+        x = sparse_features(np.random.default_rng(30), 9, 7, 0.3)
+        x[4, 2] = np.nan  # nonzero, so kept
+        x[5, 1] = -0.0  # zero, so dropped
+        m = CSRMatrix.from_dense(x)
+        assert m.shape == (9, 7) and m.indptr[0] == 0 and m.indptr[1] == m.indptr[0]
+        rows = np.repeat(np.arange(9), np.diff(m.indptr))
+        dense = np.zeros((9, 7))
+        dense[rows, m.indices] = m.weights
+        np.testing.assert_array_equal(dense, np.where(x == 0.0, 0.0, x))
+        for r in range(9):
+            assert np.all(np.diff(m.indices[m.indptr[r]:m.indptr[r + 1]]) > 0)
+
+    def test_transpose_is_the_csr_of_the_transpose(self):
+        x = sparse_features(np.random.default_rng(31), 40, 25, 0.15)
+        t, expected = CSRMatrix.from_dense(x).transpose(), CSRMatrix.from_dense(x.T)
+        assert t.shape == (25, 40)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(t, name), getattr(expected, name)), name
+
+    def test_products_match_the_dense_ones_and_empty_rows_are_exact_zeros(self):
+        # row 0 of x is empty, and so is the last row of its transpose
+        rng = np.random.default_rng(32)
+        x = sparse_features(rng, 300, 120, 0.05)
+        m = CSRMatrix.from_dense(x)
+        for matrix, dense in ((m, x), (m.transpose(), x.T)):
+            empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
+            assert empty.size
+            for width in (1, 16, 90):
+                operand = rng.normal(size=(dense.shape[1], width))
+                got = matrix.matmul(operand)
+                np.testing.assert_allclose(got, dense @ operand, rtol=1e-12, atol=1e-14)
+                assert got[empty].tobytes() == bytes(8 * empty.size * width)  # +0.0 each
+
+    def test_an_all_zero_matrix_gives_zeros(self):
+        m = CSRMatrix.from_dense(np.zeros((4, 3)))
+        assert m.indices.size == 0
+        assert m.matmul(np.ones((3, 2))).tobytes() == bytes(8 * 4 * 2)
+
+    def test_an_operand_of_the_wrong_height_is_rejected(self):
+        with pytest.raises(InputError, match="dense operand has 4 rows, the matrix has 3 columns"):
+            CSRMatrix.from_dense(np.eye(2, 3)).matmul(np.ones((4, 2)))
 
 
 class TestMultiSourceBfs:

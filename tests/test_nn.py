@@ -7,12 +7,12 @@ import pytest
 
 from pugraph.errors import ConfigError, InputError, NumericError
 from pugraph.graph import build_graph, normalize_adjacency
-from pugraph.nn import (HIDDEN_DIM, forward_from_propagated, gcn_backward,
+from pugraph.nn import (HIDDEN_DIM, SparseFeatures, forward_from_propagated, gcn_backward,
                         gcn_forward, init_params, load_checkpoint, save_checkpoint,
                         sigmoid)
 
 from conftest import (assert_grad_close, numeric_grad_params,
-                      pairwise_similarity, random_graph)
+                      pairwise_similarity, random_graph, sparse_features)
 
 
 def zero_params(feature_dim):
@@ -115,34 +115,92 @@ class TestForward:
 
 
 class TestFirstLayerProducts:
-    """The first layer's products run transposed; they must stay the plain ones."""
+    """The first layer's products run transposed on the dense A_hat @ X and
+    regrouped on SparseFeatures; both must stay the plain ones.
 
-    def _case(self):
+    The dense form matches each entry within rtol 1e-13. The regrouped form
+    sums the same terms in another order, and where they cancel an entry's
+    own relative error can reach 1e-12 (an entry of 1.2e-6 among terms of
+    0.1), so it matches within 1e-13 of the sum of its terms' magnitudes.
+    """
+
+    @staticmethod
+    def case(form):
         rng = np.random.default_rng(12)
         n, f = 300, 600
         adj = normalize_adjacency(random_graph(rng, n, 0.02))
-        ax = adj.matmul(rng.random((n, f)))
+        x = sparse_features(rng, n, f, 0.0125) if form == "sparse" else rng.random((n, f))
+        operand = SparseFeatures.of(x) if form == "sparse" else adj.matmul(x)
         params = init_params(f, 2)
         params["b1"][...] = rng.normal(size=HIDDEN_DIM) * 0.1
-        return rng, adj, ax, params
+        return rng, adj, x, operand, params
 
-    def test_pre_activation_matches_the_plain_product(self):
-        _, adj, ax, params = self._case()
-        cache = forward_from_propagated(adj, ax, params)
-        pre1 = ax @ params["W1"] + params["b1"]
+    @staticmethod
+    def assert_matches(got, expected, terms, operand):
+        if isinstance(operand, SparseFeatures):
+            assert (np.abs(got - expected) <= 1e-13 * terms).all()
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+    def check_pre_activation(self, form):
+        _, adj, x, operand, params = self.case(form)
+        cache = forward_from_propagated(adj, operand, params)
+        pre1 = adj.matmul(x) @ params["W1"] + params["b1"]
         assert (pre1 > 0).any() and (pre1 < 0).any()
-        np.testing.assert_allclose(cache.h1, np.maximum(pre1, 0.0), rtol=1e-13, atol=0)
+        terms = adj.matmul(np.abs(x)) @ np.abs(params["W1"]) + np.abs(params["b1"])
+        self.assert_matches(cache.h1, np.maximum(pre1, 0.0), terms, operand)
         assert cache.h1.flags.c_contiguous and cache.z.flags.c_contiguous
 
-    def test_w1_gradient_matches_the_plain_product(self):
-        rng, adj, ax, params = self._case()
-        cache = forward_from_propagated(adj, ax, params)
-        d_yhat, d_z = rng.normal(size=ax.shape[0]), rng.normal(size=cache.z.shape)
+    def check_w1_gradient(self, form):
+        rng, adj, x, operand, params = self.case(form)
+        cache = forward_from_propagated(adj, operand, params)
+        d_yhat, d_z = rng.normal(size=x.shape[0]), rng.normal(size=cache.z.shape)
         grads = gcn_backward(cache, d_yhat, d_z, params)
         v, s = params, cache.y_hat
         dz = d_z + np.outer(d_yhat * s * (1.0 - s), v["w_head"])
         dpre1 = np.where(cache.h1 > 0.0, adj.matmul(dz @ v["W2"].T), 0.0)
-        np.testing.assert_allclose(grads["W1"], ax.T @ dpre1, rtol=1e-13, atol=0)
+        terms = adj.matmul(np.abs(x)).T @ np.abs(dpre1)
+        self.assert_matches(grads["W1"], adj.matmul(x).T @ dpre1, terms, operand)
+        assert grads["W1"].flags.c_contiguous
+
+    def test_pre_activation_matches_the_plain_product(self):
+        self.check_pre_activation("dense")
+
+    def test_pre_activation_matches_the_plain_product_on_sparse_features(self):
+        self.check_pre_activation("sparse")
+
+    def test_w1_gradient_matches_the_plain_product(self):
+        self.check_w1_gradient("dense")
+
+    def test_w1_gradient_matches_the_plain_product_on_sparse_features(self):
+        self.check_w1_gradient("sparse")
+
+    def test_a_feature_no_node_has_gets_an_exactly_zero_gradient(self):
+        # node 0 has no feature and no node has the last one: both are empty
+        # rows of a plan, and the last row of W1's gradient is exact zeros
+        rng = np.random.default_rng(13)
+        adj = normalize_adjacency(random_graph(rng, 40, 0.1))
+        x = sparse_features(rng, 40, 30, 0.1)
+        features = SparseFeatures.of(x)
+        params = init_params(30, 3)
+        assert np.array_equal(features.x.matmul(params["W1"])[0], np.zeros(HIDDEN_DIM))
+        cache = forward_from_propagated(adj, features, params)
+        grads = gcn_backward(cache, rng.normal(size=40), rng.normal(size=(40, HIDDEN_DIM)),
+                             params)
+        assert grads["W1"].any()
+        assert not np.signbit(grads["W1"][-1]).any() and not grads["W1"][-1].any()
+
+    def test_sparse_features_of_the_wrong_width_are_rejected(self):
+        adj = normalize_adjacency(build_graph([(0, 1)], 2))
+        with pytest.raises(ConfigError, match="features have 5 columns, W1 expects 4"):
+            forward_from_propagated(adj, SparseFeatures.of(np.eye(2, 5)), init_params(4, 0))
+
+    def test_a_non_finite_feature_is_a_numeric_error_in_both_forms(self):
+        adj = normalize_adjacency(build_graph([(0, 1), (1, 2)], 3))
+        x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, np.nan]])
+        for operand in (adj.matmul(x), SparseFeatures.of(x)):
+            with pytest.raises(NumericError, match="non-finite values produced in layer1"):
+                forward_from_propagated(adj, operand, init_params(2, 0))
 
 
 class TestBackward:
@@ -168,20 +226,32 @@ class TestBackward:
             gcn_backward(cache, upstream["d_yhat"], upstream["d_z"], params)
 
     def test_matches_finite_differences(self):
+        self.check_finite_differences("dense")
+
+    def test_matches_finite_differences_on_sparse_features(self):
+        self.check_finite_differences("sparse")
+
+    @staticmethod
+    def check_finite_differences(form):
         # scalar probe L = a . y_hat + <B, Z> exercises both upstream paths
         rng = np.random.default_rng(4)
         g = random_graph(rng, 6, 0.5)
         adj = normalize_adjacency(g)
-        x = rng.normal(size=(6, 4))
-        params = init_params(4, 5)
+        if form == "dense":
+            x = rng.normal(size=(6, 4))
+            operand = adj.matmul(x)
+        else:
+            x = sparse_features(rng, 6, 5, 0.5)
+            operand = SparseFeatures.of(x)
+        params = init_params(x.shape[1], 5)
         a = rng.normal(size=6)
         b = rng.normal(size=(6, HIDDEN_DIM))
 
         def objective():
-            c = gcn_forward(adj, x, params)
+            c = forward_from_propagated(adj, operand, params)
             return float(a @ c.y_hat + np.sum(b * c.z))
 
-        cache = gcn_forward(adj, x, params)
+        cache = forward_from_propagated(adj, operand, params)
         grads = gcn_backward(cache, a, b, params)
         numeric = numeric_grad_params(objective, params)
         for name in params:

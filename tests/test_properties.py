@@ -124,7 +124,7 @@ def test_uncorrected_nnpu_risk_averages_to_the_pn_risk(draws):
     risks = []
     for seed in range(draws):
         labeled = make_pu_split(truth, np.ones(n, dtype=bool), n_labeled / n, seed)
-        value, _ = nnpu_loss(y, labeled_partition(labeled), pi_u)
+        value, _ = nnpu_loss(y, labeled_partition(np.isin(np.arange(n), labeled)), pi_u)
         assert value.parts["unlabeled"] > 0.0  # no clamp, so this is the uncorrected risk
         risks.append(value.total)
     # a draw's risk is a constant minus c * mean_L(y), and mean_L(y) over n_labeled

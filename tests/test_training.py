@@ -10,11 +10,11 @@ from pugraph.data import build_dataset
 from pugraph.errors import ConfigError, InputError, NumericError, TrainingAbort
 from pugraph.graph import build_graph, normalize_adjacency
 from pugraph.losses import LossConfig, distpu_loss
-from pugraph.nn import (Y_EPS, forward_from_propagated, gcn_backward,
+from pugraph.nn import (Y_EPS, SparseFeatures, forward_from_propagated, gcn_backward,
                         init_params, save_checkpoint)
-from pugraph.train import Adam, NegativeSampler, TrainConfig, train
+from pugraph.train import SPARSE_DENSITY, Adam, NegativeSampler, TrainConfig, train
 
-from conftest import random_graph, save_jsonl, small_manifest, traced_peak
+from conftest import citation_manifest, random_graph, save_jsonl, small_manifest, traced_peak
 
 
 def zero_grads(params):
@@ -427,6 +427,58 @@ class TestTrain:
             ref = opt.step(ref, grads)
         for name in params:
             assert np.array_equal(params[name], ref[name])
+
+    def test_cora_shaped_trajectory_matches_reference_loop(self, tmp_path):
+        # sparse features train through X's CSR plans; the run must equal a
+        # plain loop over the same forward and backward on those plans
+        ds = build_dataset(citation_manifest(tmp_path), 0.05, 0, 2)
+        pi = ds.positive_prior
+        cfg = TrainConfig(epochs=20, seed=4, loss=LossConfig(
+            kind="distpu", pi_p=pi, delta=2, alpha=0.0))
+        params, _ = train(ds, cfg)
+        assert isinstance(ds.prepared.sparse_features, SparseFeatures)
+
+        ref = init_params(ds.features.shape[1], 4)
+        adj = normalize_adjacency(ds.graph)
+        features = SparseFeatures.of(ds.features)
+        opt = Adam(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
+        for _ in range(20):
+            cache = forward_from_propagated(adj, features, ref)
+            _, grad_y = distpu_loss(cache.y_hat, ds.partition, pi)
+            grads = gcn_backward(cache, grad_y, np.zeros_like(cache.z), ref)
+            ref = opt.step(ref, grads)
+        for name in params:
+            assert np.array_equal(params[name], ref[name])
+
+    def test_sparse_features_take_the_csr_path_and_dense_ones_the_dense_path(self, tmp_path):
+        # Cora's 18 words of 1,433 and the sparse citation files sit below the
+        # threshold; SBM features, whose bits fire at rate 0.2 or 0.65, above
+        assert 18 / 1433 < SPARSE_DENSITY < 0.2
+        sparse = build_dataset(citation_manifest(tmp_path), 0.05, 0, 2)
+        dense = build_dataset(small_manifest(), 0.02, 0, 2)
+        assert sparse.prepared.feature_density < SPARSE_DENSITY < dense.prepared.feature_density
+        adj, operand = train_module.propagate(sparse, sparse=True)
+        assert isinstance(operand, SparseFeatures) and sparse.prepared.propagated is None
+        assert np.array_equal(operand.x.matmul(np.eye(400)), sparse.features)
+        # scoring's operand stays A_hat @ X, built once on the same A_hat
+        assert train_module.propagate(sparse)[0] is adj
+        assert np.array_equal(train_module.propagate(sparse)[1], adj.matmul(sparse.features))
+        adj, operand = train_module.propagate(dense, sparse=True)
+        assert type(operand) is np.ndarray and operand is dense.prepared.propagated
+        assert dense.prepared.sparse_features is None
+        assert np.array_equal(operand, adj.matmul(dense.features))
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_a_nan_feature_aborts_in_layer1_on_both_paths(self, tmp_path, form):
+        manifest = (small_manifest(normalize_features=False) if form == "dense"
+                    else citation_manifest(tmp_path, normalize_features=False))
+        ds = build_dataset(manifest, 0.05, 0, 2)
+        ds.features[7, 3] = np.nan
+        with pytest.raises(TrainingAbort,
+                           match="^non-finite values produced in layer1 at epoch 1$") as info:
+            train(ds, TrainConfig(epochs=3, loss=LossConfig(kind="naive", delta=2, alpha=0.0)))
+        assert info.value.records == []
+        assert (ds.prepared.sparse_features is None) == (form == "dense")
 
     def test_log_records_clip_positive_and_sampler_counts(self):
         ds = build_dataset(small_manifest(), 0.02, 0, 2)
