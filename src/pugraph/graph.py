@@ -6,9 +6,9 @@ immutable after construction. This module provides:
 - build_graph: edge list -> deduplicated, symmetrized, self-loop-free CSR
 - CSRMatrix: a sparse matrix, such as sparse features or their transpose,
   whose matmul works on rows grouped by entry count, a cache-sized block at
-  a time (at most _GATHER_ELEMS gathered elements, or one row), and sums
-  each row in np.add.reduceat's order, so it is bit-equal to one reduceat
-  per row; an empty row gives zeros
+  a time (gather plus sum at most _GATHER_ELEMS elements, or one row), and
+  sums each row in CSR entry order from +0.0, one term at a time, so its
+  bits do not depend on the block size; an empty row gives zeros
 - normalize_adjacency: symmetric GCN normalization with implicit self-loops,
   weight(i, j) = 1 / sqrt((d_i + 1) (d_j + 1)), as a NormalizedAdjacency,
   a square CSRMatrix with no empty row
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError
 
 UNREACHABLE = np.inf
-_GATHER_ELEMS = 1 << 16  # matmul: elements of one row block's gather (512 KB)
+_GATHER_ELEMS = 1 << 16  # matmul: elements of one row block's gather and sum (512 KB)
 _PAIR_CHUNK = 1 << 20    # generate_sbm: most gaps drawn per batch
 
 
@@ -60,7 +60,8 @@ class CSRMatrix:
     Built, it also holds the matmul plan: for each entry count L, the ids of
     the rows with L entries and their (L, rows) column ids and weights,
     entry-major, 16 bytes per entry. The rows with no entry form the group
-    L = 0.
+    L = 0. matmul sums each row's weighted operand rows in CSR entry order,
+    a cache-sized block of one group's rows at a time.
     """
 
     num_cols: int
@@ -101,34 +102,32 @@ class CSRMatrix:
         return CSRMatrix(num_rows, indptr, rows[order], self.weights[order])
 
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Product with a (num_cols, d) operand, bit-equal to np.add.reduceat
-        over each row's entries in CSR order; a row with no entry is zeros.
+        """Product with a (num_cols, d) operand. Each row is summed in CSR
+        entry order, from +0.0, one weighted term at a time, so a row with no
+        entry, or whose every term is -0.0, gives +0.0 (at d = 1 einsum runs
+        another loop, in a fixed order of its own); the bits depend on
+        neither the block size nor the operand's memory layout.
 
         The rows of one entry count L are taken in blocks of r rows whose
-        gather, an (L, r, d) array of weighted operand rows, holds at most
-        _GATHER_ELEMS elements; a block holds at least one row, so the gather
-        never exceeds max(_GATHER_ELEMS, longest row x width) elements and
-        stays cache-sized. The block is reduced in place over its entry axis,
-        one whole (r, d) slice per operation, in reduceat's order: the first
-        entry plus _pairwise_sum of the rest.
+        gather, an (L, r, d) array of operand rows, and (r, d) sum hold at
+        most _GATHER_ELEMS elements together, (L + 1) d per row; a block
+        holds at least one row, so it never exceeds max(_GATHER_ELEMS,
+        (longest row + 1) x width) elements and stays cache-sized. One einsum
+        weights and sums each block over its entry axis.
         """
+        if dense.ndim != 2:
+            raise InputError(f"dense operand has shape {dense.shape}, not (rows, columns)")
         if dense.shape[0] != self.num_cols:
             raise InputError(
                 f"dense operand has {dense.shape[0]} rows, the matrix has {self.num_cols} columns"
             )
         out = np.empty((self.indptr.size - 1, dense.shape[1]), dtype=np.float64)
         for rows, cols, weights in self._groups:
-            if not len(cols):
-                out[rows] = 0.0
-                continue
-            step = max(1, _GATHER_ELEMS // max(1, cols.shape[0] * dense.shape[1]))
+            step = max(1, _GATHER_ELEMS // max(1, (cols.shape[0] + 1) * dense.shape[1]))
             for lo in range(0, rows.size, step):
-                prod = np.take(dense, cols[:, lo:lo + step], axis=0)
-                prod *= weights[:, lo:lo + step, None]
-                if len(prod) > 1:
-                    prod[0] += _pairwise_sum(prod[1:])
-                out[rows[lo:lo + step]] = prod[0]
-                del prod  # the next block's gather reuses its memory
+                block = slice(lo, lo + step)
+                out[rows[block]] = np.einsum("lr,lrd->rd", weights[:, block],
+                                             np.take(dense, cols[:, block], axis=0))
         return out
 
 
@@ -143,37 +142,6 @@ class NormalizedAdjacency(CSRMatrix):
         if empty.size:
             raise InputError(f"adjacency row {empty[0]} has no entry, not even its self-loop")
         super().__post_init__()
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src) of
-    terms[0..n) along axis 0, slice by slice; accumulates into `terms` and
-    returns the view that holds the sum.
-
-    numpy starts the sum at -0.0, and -0.0 + x is x bit for bit, so starting
-    at terms[0] is the same. Under 8 terms it adds them in order; from 8 to
-    128 it keeps eight interleaved partial sums r0..r7, combines them as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the n % 8 leftover terms in
-    order; above 128 it sums the halves split at n//2, rounded down to a
-    multiple of 8, the same way and adds the two.
-    """
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(terms[:half])
-        total += _pairwise_sum(terms[half:])
-        return total
-    tail = 1
-    if n >= 8:
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            terms[:8] += terms[i:i + 8]
-        terms[:8:2] += terms[1:8:2]
-        terms[:8:4] += terms[2:8:4]
-        terms[0] += terms[4]
-    for i in range(tail, n):
-        terms[0] += terms[i]
-    return terms[0]
 
 
 @dataclass(frozen=True)

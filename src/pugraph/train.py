@@ -181,11 +181,13 @@ class Adam:
 
 
 # Features with a smaller share of nonzeros train through CSR products. An
-# epoch's forward and backward through them took 0.62-0.70 of the dense time
-# at 1.25% density, 0.73-0.95 at 1.5% and 0.8-1.2 at 2-2.5% on 1,433
-# columns; on 500 columns, 0.88-1.11 at 1.25% and 1.2 at 1.5% (2,708 rows,
-# one BLAS thread). Cora's 1.26% is below; an SBM's features, above 20%, are not.
-SPARSE_DENSITY = 0.015
+# epoch's forward and backward through them took 0.33-0.42 of the dense time
+# at 1-1.25% density, 0.46-0.57 at 2-2.5%, 0.61-0.70 at 3% and 0.72-0.78 at
+# 4% on 1,433 columns; on 500 columns, 0.54-0.82 at 1-1.5%, 0.65-0.80 at
+# 2-2.5%, 0.69-0.87 at 3% and 0.69-1.11 at 4%; at 5%, 0.92-1.12 on both
+# widths (2,708 rows, one BLAS thread). Cora's 1.26% is below; an
+# SBM's features, above 20%, are not.
+SPARSE_DENSITY = 0.03
 
 
 def propagate(dataset, sparse: bool = False) -> tuple[NormalizedAdjacency,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ def assert_bit_equal(a, b, arrays=("indptr", "indices")):
 
 
 def hub_graph(rng, n, p):
-    """Random graph plus a hub joined to most nodes and a 12-clique, so some
-    rows are longer than numpy's pairwise-summation block of 128."""
+    """Random graph plus a hub joined to most nodes and a 12-clique, so rows
+    run from one entry to most of the graph."""
     g = random_graph(rng, n, p)
     src, dst = g.directed_edges()
     extra = [(0, j) for j in range(1, n - 3)]
@@ -109,6 +111,13 @@ class TestNormalizeAdjacency:
         with pytest.raises(InputError, match="dense operand has 2 rows, the matrix has 3 columns"):
             na.matmul(np.ones((2, 4)))
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)])
+    def test_matmul_rejects_an_operand_that_is_not_2d(self, shape):
+        # a 1-D operand of the right length once failed with an IndexError
+        na = normalize_adjacency(build_graph([(0, 1)], 3))
+        with pytest.raises(InputError, match=re.escape(f"dense operand has shape {shape},")):
+            na.matmul(np.ones(shape))
+
     def test_matmul_matches_dense(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -141,7 +150,8 @@ def reference_normalize_adjacency(g):
 
 def reference_matmul(adj, dense, block=256):
     """The 256-column matmul that the element-bounded gather replaced; its
-    loop is kept verbatim."""
+    loop is kept verbatim. It sums in np.add.reduceat's pairwise order, so
+    matmul matches it within a few ulp of |A| |x|, not bit for bit."""
     out = np.empty((adj.num_nodes, dense.shape[1]), dtype=np.float64)
     starts = adj.indptr[:-1]
     for lo in range(0, dense.shape[1], block):
@@ -149,6 +159,39 @@ def reference_matmul(adj, dense, block=256):
         prod = adj.weights[:, None] * dense[adj.indices, lo:hi]
         out[:, lo:hi] = np.add.reduceat(prod, starts, axis=0)
     return out
+
+
+def sequential_matmul(adj, dense):
+    """matmul's contract as a plain loop: each row summed in CSR entry order,
+    from +0.0, one weighted term at a time."""
+    out = np.empty((adj.indptr.size - 1, dense.shape[1]))
+    for row in range(out.shape[0]):
+        acc = np.zeros(dense.shape[1])
+        for entry in range(adj.indptr[row], adj.indptr[row + 1]):
+            acc = acc + adj.weights[entry] * dense[adj.indices[entry]]
+        out[row] = acc
+    return out
+
+
+def assert_within_ulps_of_reduceat(adj, dense, got, ulps=8):
+    """|got - reference_matmul| <= ulps x eps x (|A| |x|), entry by entry."""
+    magnitude = CSRMatrix(adj.num_cols, adj.indptr, adj.indices,
+                          np.abs(adj.weights)).matmul(np.abs(dense))
+    error = np.abs(got - reference_matmul(adj, dense))
+    assert np.all(error <= ulps * np.finfo(np.float64).eps * magnitude)
+
+
+def assert_same_bits(got, expected, label):
+    # array_equal counts -0.0 == +0.0, so compare the sign bits too
+    assert np.array_equal(got, expected), label
+    assert np.array_equal(np.signbit(got), np.signbit(expected)), label
+
+
+def layouts(rng, x):
+    """x as a C-ordered, a Fortran-ordered and a column-sliced operand."""
+    padded = rng.normal(size=(x.shape[0], 2 * x.shape[1] + 1))
+    padded[:, 1::2] = x
+    return (("C", x), ("F", np.asfortranarray(x)), ("sliced", padded[:, 1::2]))
 
 
 def reference_multi_source_bfs(g, sources):
@@ -199,21 +242,20 @@ class TestAgainstReplacedImplementations:
                              ("indptr", "indices", "weights"))
 
     @pytest.mark.parametrize("gather_elems", [None, 5_000, 1])
-    def test_matmul_bit_equal_to_256_column_blocks(self, monkeypatch, gather_elems):
-        # None keeps the module's bound; 5,000 splits every width into blocks
-        # of a few columns; 1 (below nnz) forces one column per block
+    def test_matmul_bit_equal_to_a_sequential_row_loop(self, monkeypatch, gather_elems):
+        # None keeps the module's bound; 5,000 splits every group into blocks
+        # of a few rows; 1 forces one row per block
         if gather_elems is not None:
             monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", gather_elems)
         rng = np.random.default_rng(12)
         adj = normalize_adjacency(hub_graph(rng, 300, 0.05))
-        for width in (1, 7, 16, 255, 256, 300, 600):
+        for width in (2, 7, 16, 255, 256, 300, 600):
             x = rng.normal(size=(300, width))
+            expected = sequential_matmul(adj, x)
             # the gather reads C-ordered, Fortran-ordered and column-sliced operands
-            padded = rng.normal(size=(300, 2 * width + 1))
-            for layout, operand in (("C", x), ("F", np.asfortranarray(x)),
-                                    ("sliced", padded[:, 1::2])):
-                assert np.array_equal(adj.matmul(operand), reference_matmul(adj, operand)), \
-                    (width, layout)
+            for layout, operand in layouts(rng, x):
+                assert_same_bits(adj.matmul(operand), expected, (width, layout))
+            assert_within_ulps_of_reduceat(adj, x, expected)
 
     def test_matmul_wide_operand_gathers_a_bounded_block(self):
         # reference_matmul peaks at 280 MB here: a (nnz x 256) gather and its weighted copy
@@ -225,9 +267,9 @@ class TestAgainstReplacedImplementations:
 
 
 class TestRowBlockedMatmul:
-    """The row-blocked matmul against the 256-column oracle, at the edges of
-    its blocking: rows longer than the gather bound, (n, 1) operands and
-    one row per block."""
+    """The row-blocked matmul against the sequential row loop, at the edges
+    of its blocking: rows longer than the gather bound, (n, 1) operands, one
+    row per block and every row length from 1 to 1,001."""
 
     def test_hub_row_longer_than_the_gather_bound(self):
         rng = np.random.default_rng(15)
@@ -236,19 +278,23 @@ class TestRowBlockedMatmul:
         for width in (33, 64, 200):
             assert longest * width > graph_module._GATHER_ELEMS
             x = rng.normal(size=(2000, width))
-            assert np.array_equal(adj.matmul(x), reference_matmul(adj, x)), width
+            assert_same_bits(adj.matmul(x), sequential_matmul(adj, x), width)
 
-    @pytest.mark.parametrize("gather_elems", [None, 1])
-    def test_width_one(self, monkeypatch, gather_elems):
-        if gather_elems is not None:
-            monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", gather_elems)
+    def test_width_one_is_the_same_at_every_bound_and_layout(self, monkeypatch):
+        # at width 1 einsum sums in another order than the row loop; the bits
+        # still depend on neither the block size nor the layout
         rng = np.random.default_rng(16)
         for g in (hub_graph(rng, 700, 0.02), build_graph([], 3), random_graph(rng, 50, 0.1)):
             adj = normalize_adjacency(g)
             x = rng.normal(size=(g.num_nodes, 1))
-            got = adj.matmul(x)
-            assert got.shape == x.shape
-            assert np.array_equal(got, reference_matmul(adj, x))
+            expected = adj.matmul(x)
+            assert expected.shape == x.shape
+            assert_within_ulps_of_reduceat(adj, x, expected)
+            for gather_elems in (5_000, 1):
+                monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", gather_elems)
+                for layout, operand in layouts(rng, x):
+                    assert_same_bits(adj.matmul(operand), expected, (gather_elems, layout))
+            monkeypatch.undo()
 
     def test_one_row_per_block_at_a_bound_of_one(self, monkeypatch):
         monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", 1)
@@ -258,14 +304,17 @@ class TestRowBlockedMatmul:
         for width in (2, 16, 300):
             x = rng.normal(size=(400, width))
             out, peak = traced_peak(adj.matmul, x)
-            assert np.array_equal(out, reference_matmul(adj, x)), width
+            assert_same_bits(out, sequential_matmul(adj, x), width)
             # one row's gather at a time, plus numpy's 64 KB ufunc buffer
             assert peak < out.nbytes + 8 * longest * width + 2**17, width
 
-    def test_bit_equal_to_reduceat_in_every_summation_regime(self):
-        # numpy's pairwise sum adds fewer than 8 terms in order, 8 to 128 in
-        # eight partial sums plus leftovers, and splits longer runs in halves;
-        # a row of n entries sums its first entry plus the n - 1 others
+    @pytest.mark.parametrize("gather_elems", [None, 5_000, 1])
+    def test_bit_equal_to_a_sequential_sum_at_every_row_length(self, monkeypatch,
+                                                               gather_elems):
+        # rows of 1 to 40, 120 to 300 and 1,001 entries, across numpy's
+        # pairwise-summation thresholds of 8 and 128 that the kernel once replayed
+        if gather_elems is not None:
+            monkeypatch.setattr("pugraph.graph._GATHER_ELEMS", gather_elems)
         rng = np.random.default_rng(19)
         lengths = np.concatenate([[1, 1, 1], np.arange(2, 41), np.arange(120, 137),
                                   rng.integers(137, 301, size=4), [1001]])
@@ -274,20 +323,18 @@ class TestRowBlockedMatmul:
         indices = rng.integers(0, n, size=indptr[-1])
         adj = NormalizedAdjacency(n, indptr, indices, rng.uniform(0.01, 1.0, indptr[-1]))
         all_negative_zero = indices[indptr[20]:indptr[21]]  # the terms of row 20
-        for width in (1, 16, 500):
+        for width in (1, 2, 16, 500, 600):
             x = np.maximum(rng.normal(size=(n, width)), 0.0)  # ReLU zeros are +0.0
             x[::3] *= -1.0  # and -0.0 in these rows
             x[rng.random(n) < 0.2] = 0.0
             x[all_negative_zero] = -0.0
-            padded = np.zeros((n, 2 * width + 1))
-            padded[:, 1::2] = x
-            for layout, operand in (("C", x), ("F", np.asfortranarray(x)),
-                                    ("sliced", padded[:, 1::2])):
-                got, expected = adj.matmul(operand), reference_matmul(adj, operand)
-                # array_equal counts -0.0 == +0.0, so compare the sign bits too
-                assert np.array_equal(got, expected), (width, layout)
-                assert np.array_equal(np.signbit(got), np.signbit(expected)), (width, layout)
-            assert np.signbit(got[20]).all()
+            expected = adj.matmul(x) if width == 1 else sequential_matmul(adj, x)
+            for layout, operand in layouts(rng, x):
+                assert_same_bits(adj.matmul(operand), expected, (width, layout))
+            assert_within_ulps_of_reduceat(adj, x, expected)
+            # the sum starts at +0.0, and +0.0 + -0.0 is +0.0, so a row whose
+            # every term is -0.0 gives +0.0 (reduceat gave -0.0)
+            assert expected[20].tobytes() == bytes(8 * width)
 
     def test_a_constructed_adjacency_holds_its_plan(self):
         # the plan is built with the object, not by the first matmul: each row
@@ -303,8 +350,7 @@ class TestRowBlockedMatmul:
                 assert np.array_equal(row_weights, adj.weights[lo:hi])
 
     def test_a_row_without_entries_is_rejected_when_built(self):
-        # every row holds at least its self-loop; an empty one would leave the
-        # plan a group of zero entries, which matmul cannot index
+        # every row of A_hat holds at least its self-loop
         with pytest.raises(InputError, match="row 1 "):
             NormalizedAdjacency(3, np.array([0, 1, 1, 2]), np.array([0, 2]),
                                 np.array([1.0, 2.0]))
